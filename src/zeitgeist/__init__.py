@@ -41,6 +41,7 @@ from .models import (
 )
 from .solver import (
     SituationOutcome,
+    SituationProblem,
     Zeitgeist,
     conditional_fitness,
     enumerate_ez,
@@ -91,7 +92,8 @@ __all__ = [
     "weighted_kl", "kl_minimizers",
     "Model", "Parameter", "IdentifiabilityReport", "check_identifiability",
     "minimal_correct_model", "singleton_model", "illusion_of_control_model",
-    "Zeitgeist", "SituationOutcome", "enumerate_situation_ez", "enumerate_ez",
+    "Zeitgeist", "SituationOutcome", "SituationProblem",
+    "enumerate_situation_ez", "enumerate_ez",
     "verify_ez", "fitness", "situation_fitness", "conditional_fitness",
     "zeitgeist_summary", "render_summaries",
     "StabilityVerdict", "classify_stability", "ReversalResult",

@@ -109,7 +109,7 @@ class GaussianGridKernel:
         self.sigma = float(sigma)
         self.edges = np.asarray(edges, dtype=float)
         self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
-        self._payoff_cache: dict[int, np.ndarray] = {}
+        self._payoff_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_strategies(self) -> int:
@@ -150,15 +150,15 @@ class GaussianGridKernel:
         return self.masses(mus)
 
     def payoff_matrix(self, utility: np.ndarray) -> np.ndarray:
-        key = id(utility)
-        cached = self._payoff_cache.get(key)
-        if cached is None:
+        # keyed on the utility array itself, as in DenseKernel.payoff_matrix
+        cached = self._payoff_cache
+        if cached is None or cached[0] is not utility:
             n = self.n_strategies
-            cached = np.empty((n, n))
+            pay = np.empty((n, n))
             for i in range(n):
-                cached[i] = self.rows_for_own(i) @ utility[i]
-            self._payoff_cache = {key: cached}
-        return cached
+                pay[i] = self.rows_for_own(i) @ utility[i]
+            cached = self._payoff_cache = (utility, pay)
+        return cached[1]
 
     def opponent_independent(self, tol: float = 1e-9) -> bool:
         return abs(self.slope) <= tol

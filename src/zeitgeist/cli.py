@@ -10,9 +10,6 @@ record the run in a ``manifest.yaml`` listing each output exactly once.
 
 Exit codes: 0 success, 1 usage or config error, 2 legal-but-empty result
 (a solve that finds no self-confirming state, or a zero-horizon run).
-
-``ZEITGEIST_THREADS`` sets the worker count for commands that fan out
-over invasion sizes.
 """
 
 from __future__ import annotations
@@ -38,19 +35,6 @@ from .stability import DEFAULT_EPS_LIST, classify_stability, detect_reversal, \
     scan_stable_shares, singleton_fragility_check
 
 EXIT_OK, EXIT_ERROR, EXIT_EMPTY = 0, 1, 2
-
-
-def _threads() -> int | None:
-    raw = os.environ.get("ZEITGEIST_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"ZEITGEIST_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("ZEITGEIST_THREADS must be >= 1")
-    return n
 
 
 def _floats(text: str, name: str, count: int | None = None) -> tuple[float, ...]:
@@ -147,8 +131,7 @@ def cmd_classify(args) -> int:
     q = _floats(args.q, "--q") if args.q else None
     eps_list = _floats(args.eps_list, "--eps-list") if args.eps_list \
         else DEFAULT_EPS_LIST
-    verdict = classify_stability(env, model_a, model_b, q=q,
-                                 eps_list=eps_list, n_workers=_threads())
+    verdict = classify_stability(env, model_a, model_b, q=q, eps_list=eps_list)
     lines = [f"verdict: {verdict.label}"]
     rows = []
     for ev in verdict.evidence:

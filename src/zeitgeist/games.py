@@ -57,7 +57,7 @@ class DenseKernel:
                 loc = tuple(bad[0]) if len(bad) else "negative entry"
                 raise ValueError(f"kernel rows must be probability vectors (bad row at {loc})")
         self.table = table
-        self._payoff_cache: dict[int, np.ndarray] = {}
+        self._payoff_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_strategies(self) -> int:
@@ -79,12 +79,13 @@ class DenseKernel:
 
         ``utility`` has shape (n_strategies, n_consequences).
         """
-        key = id(utility)
-        cached = self._payoff_cache.get(key)
-        if cached is None:
-            cached = np.einsum("ijy,iy->ij", self.table, utility)
-            self._payoff_cache = {key: cached}
-        return cached
+        # the cache holds the utility array itself, so its identity stays
+        # a valid key for as long as the entry lives
+        cached = self._payoff_cache
+        if cached is None or cached[0] is not utility:
+            cached = (utility, np.einsum("ijy,iy->ij", self.table, utility))
+            self._payoff_cache = cached
+        return cached[1]
 
     def opponent_independent(self, tol: float = 1e-9) -> bool:
         return bool(np.max(np.abs(self.table - self.table[:, :1, :])) <= tol)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ARGMIN_TOL = 1e-9
+SHARE_TOL = 1e-9
 
 
 def kl_divergence(p, q) -> float:
@@ -44,6 +45,15 @@ def scale_kl(weight: float, value: float) -> float:
     return weight * value
 
 
+def validate_shares(shares) -> tuple[float, float]:
+    """The two group shares as floats; raises unless they are nonnegative
+    and sum to one within ``SHARE_TOL``."""
+    pa, pb = (float(s) for s in shares)
+    if min(pa, pb) < 0.0 or abs(pa + pb - 1.0) > SHARE_TOL:
+        raise ValueError("shares must be a two-point distribution over the groups")
+    return pa, pb
+
+
 @dataclass(frozen=True)
 class DataContext:
     """What an agent's long-run data looks like under a fixed zeitgeist slice.
@@ -60,9 +70,7 @@ class DataContext:
     def __post_init__(self):
         if self.own_group not in (0, 1):
             raise ValueError("own_group must be 0 (A) or 1 (B)")
-        pa, pb = self.shares
-        if min(pa, pb) < -1e-12 or abs(pa + pb - 1.0) > 1e-9:
-            raise ValueError("shares must be a two-point distribution")
+        validate_shares(self.shares)
         if len(self.play) != 4:
             raise ValueError("play must be a quadruple")
 
@@ -132,43 +140,49 @@ def kl_minimizers(model, ctx: DataContext, env, tol: float = ARGMIN_TOL) -> Mini
     return MinimizerResult(tuple(np.flatnonzero(values <= cut)), values, False)
 
 
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``kl_divergence`` along the last axis of two broadcastable arrays."""
+    support = p > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(support, p * np.log(p / q), 0.0)
+    out = terms.sum(axis=-1)
+    out[np.any(support & (q <= 0.0), axis=-1)] = np.inf
+    return out
+
+
+def conjecture_columns(model, og: int, n: int) -> np.ndarray:
+    """Opponent action each parameter conjectures for group ``og`` when the
+    actual one is j, shape (P, n); free (None) conjectures track j."""
+    conj = np.array([-1 if p.conj_a[og] is None else p.conj_a[og]
+                     for p in model.params])
+    return np.where(conj[:, None] < 0, np.arange(n), conj[:, None])
+
+
 def kl_profile_tables(model, env, G) -> np.ndarray:
     """Per-parameter divergence of every data profile, shape (P, n, n, 2).
 
     ``table[t, i, j, og]`` is the divergence term when a data profile
     (own strategy i, opponent strategy j, opponent group og) is explained by
     parameter ``t``.  The weighted objective of any context is a two-term
-    combination of entries, which is what the enumeration loop exploits.
+    combination of entries, which is what the enumeration exploits.
     """
     gi = env.situation_index(G)
     n = env.n_strategies
+    truth = env.kernel(gi)
+    true_rows = np.stack([truth.rows_for_own(i) for i in range(n)])     # [i, j, y]
+    rows = np.stack([np.stack([p.kernel.rows_for_own(i) for i in range(n)])
+                     for p in model.params])                            # [t, i, j, y]
+    mon = env.monitoring.rows
+    kl_mon = _kl_rows(mon[:, None, :], mon[None, :, :])                 # [j, c]
     out = np.empty((len(model.params), n, n, 2))
-    for t, param in enumerate(model.params):
-        for i in range(n):
-            true_rows = env.kernel(gi).rows_for_own(i)
-            for og in (0, 1):
-                conj = param.conj_a[og]
-                for j in range(n):
-                    if conj is None:
-                        out[t, i, j, og] = kl_divergence(true_rows[j], param.kernel.row(i, j))
-                    else:
-                        ky = kl_divergence(true_rows[j], param.kernel.row(i, conj))
-                        if np.isinf(ky):
-                            out[t, i, j, og] = ky
-                        else:
-                            out[t, i, j, og] = ky + kl_divergence(
-                                env.monitoring.row(j), env.monitoring.row(conj))
+    for og in (0, 1):
+        # a free conjecture predicts the actual action, whose monitoring
+        # term kl_mon[j, j] is exactly zero
+        cols = conjecture_columns(model, og, n)                         # [t, j]
+        predicted = np.take_along_axis(rows, cols[:, None, :, None], axis=2)
+        out[..., og] = (_kl_rows(true_rows[None], predicted)
+                        + kl_mon[np.arange(n), cols][:, None, :])
     return out
-
-
-def combine_weighted(table: np.ndarray, own: tuple[int, int], cross: tuple[int, int],
-                     w_own: float, w_cross: float, own_group: int) -> np.ndarray:
-    """Weighted objective for all parameters at once from a profile table."""
-    v_own = table[:, own[0], own[1], own_group]
-    v_cross = table[:, cross[0], cross[1], 1 - own_group]
-    t_own = np.where(np.isinf(v_own), np.inf, w_own * v_own)
-    t_cross = np.where(np.isinf(v_cross), np.inf, w_cross * v_cross)
-    return t_own + t_cross
 
 
 def minimizer_set(values: np.ndarray, tol: float = ARGMIN_TOL) -> tuple[np.ndarray, bool]:

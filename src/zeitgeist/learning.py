@@ -27,7 +27,6 @@ from scipy.special import logsumexp
 
 from .games import StageEnv, as_weights
 from .models import Model
-from .solver import Zeitgeist
 
 
 @dataclass(frozen=True)
@@ -361,7 +360,7 @@ def compare_to_ez(traj: LearningTrajectory, ez_list, window: int,
 
     best = None
     for idx, z in enumerate(ez_list):
-        out = _situation_outcome(z, gi)
+        out = z.outcomes[gi]
         mismatch = sum(int(a != b) for a, b in zip(modal, out.quadruple))
         tv_a = _kernel_tv(bel_a, out.belief_a, traj.model_a)
         tv_b = _kernel_tv(bel_b, out.belief_b, traj.model_b)
@@ -377,10 +376,6 @@ def compare_to_ez(traj: LearningTrajectory, ez_list, window: int,
     return ComparisonReport(window, gi, modal, (float(pay[0]), float(pay[1])),
                             bel_a, bel_b, idx, mismatch, float(tv),
                             mismatch == 0 and tv <= tol)
-
-
-def _situation_outcome(z: Zeitgeist, gi: int):
-    return z.outcomes[gi]
 
 
 def _kernel_tv(traj_kernel_belief: np.ndarray, ez_belief: np.ndarray,

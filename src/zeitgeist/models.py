@@ -223,19 +223,3 @@ def check_identifiability(env: StageEnv, tol: float = 1e-12) -> IdentifiabilityR
     return IdentifiabilityReport(not sit_wit, not stack_wit,
                                  tuple(sit_wit), tuple(stack_wit))
 
-
-def is_strategically_independent(model: Model, env: StageEnv, tol: float = 1e-9) -> bool:
-    """True when every kernel in the model ignores the opponent's strategy,
-    which makes subjective best replies opponent-independent under any belief."""
-    for k in model.kernels:
-        if hasattr(k, "opponent_independent"):
-            if not k.opponent_independent(tol):
-                return False
-        else:
-            n = env.n_strategies
-            for i in range(n):
-                base = k.row(i, 0)
-                for j in range(1, n):
-                    if np.max(np.abs(k.row(i, j) - base)) > tol:
-                        return False
-    return True

@@ -8,25 +8,24 @@ parameters that best explain the data generated by the actual play,
 weighted by the share of own-group and cross-group matches, and when the
 four actions are subjectively optimal under those beliefs.
 
-The search enumerates pure quadruples per situation, computes the
-explanatory objective for all parameters at once, and certifies belief
-feasibility either with a degenerate belief or, when no single parameter
-rationalizes the play, with a mixture found by linear programming.
-"""
+``SituationProblem`` builds once what does not depend on the shares: KL
+profile tables, subjective payoffs and the tensor of single-parameter
+rationalizers.  Its ``solve`` weights the tables by the shares, cuts every
+triple's minimizer set at once, takes the first single-parameter
+rationalizer as a degenerate belief, and runs the max-margin mixture LP
+only for triples with none that the other group could complete."""
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .games import StageEnv, as_weights, tie_tolerance
-from .inference import (ARGMIN_TOL, DataContext, combine_weighted,
-                        kl_minimizers, kl_profile_tables, minimizer_set)
+from .inference import (ARGMIN_TOL, DataContext, conjecture_columns,
+                        kl_minimizers, kl_profile_tables, validate_shares)
 
 QUAD_KEYS = ("a_AA", "a_AB", "a_BA", "a_BB")
 
@@ -35,16 +34,6 @@ QUAD_KEYS = ("a_AA", "a_AB", "a_BA", "a_BB")
 MAX_COMPOSED = 200_000
 
 SUPPORT_TOL = 1e-9
-
-
-def _thread_count(n_workers: int | None) -> int:
-    if n_workers is not None:
-        return max(1, int(n_workers))
-    raw = os.environ.get("ZEITGEIST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _require_compatible(env: StageEnv, model, who: str) -> None:
@@ -97,11 +86,6 @@ class Zeitgeist:
         return rows
 
 
-def _subjective_payoff_stack(model, env: StageEnv) -> np.ndarray:
-    """Per-parameter payoff matrices under the group's own kernels, (P, n, n)."""
-    return np.stack([p.kernel.payoff_matrix(env.utility) for p in model.params])
-
-
 def _conjectured_columns(model, group: int, member_idx: np.ndarray,
                          default_own: int, default_cross: int) -> tuple[np.ndarray, np.ndarray]:
     """Opponent actions each parameter expects, vs own group and vs the other.
@@ -119,45 +103,21 @@ def _conjectured_columns(model, group: int, member_idx: np.ndarray,
     return own_cols, cross_cols
 
 
-def _feasible_belief(pay: np.ndarray, model, group: int, member_idx: np.ndarray,
-                     a_own: int, a_cross: int, opp_own: int, opp_cross: int,
-                     tol: float) -> tuple[np.ndarray, bool] | None:
-    """Belief over ``member_idx`` making (a_own, a_cross) subjectively optimal.
+def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
+                    a_cross: int, tol: float) -> tuple[np.ndarray, bool] | None:
+    """Mixture over the rows of ``v_own``/``v_cross`` making (a_own, a_cross)
+    subjectively optimal, or None.
 
-    Tries degenerate beliefs in index order, then a mixture via LP.  Returns
-    (weights over member_idx, used_mixture) or None when infeasible.
+    Row r holds one parameter's payoff of every own action against its
+    conjectured opponent action.  Returns (weights, used_mixture).
     """
-    own_cols, cross_cols = _conjectured_columns(model, group, member_idx, opp_own, opp_cross)
-    rows = np.arange(len(member_idx))
-    sub = pay[member_idx]                      # (m, n, n)
-    v_own = sub[rows, :, own_cols]             # (m, n): payoff of each own action
-    v_cross = sub[rows, :, cross_cols]
-
     d_own = v_own[:, a_own][:, None] - v_own   # >= -slack required, all columns
     d_cross = v_cross[:, a_cross][:, None] - v_cross
-
-    def margin_ok(weights: np.ndarray) -> bool:
-        # same convention the verifier applies: slack scales with the
-        # belief-blended payoffs, not the raw per-parameter stack
-        blended = np.concatenate([weights @ v_own, weights @ v_cross])
-        s = tie_tolerance(blended, tol)
-        return (float((weights @ d_own).min()) >= -s
-                and float((weights @ d_cross).min()) >= -s)
-
-    for r in range(len(member_idx)):
-        s = tie_tolerance(np.concatenate([v_own[r], v_cross[r]]), tol)
-        if d_own[r].min() >= -s and d_cross[r].min() >= -s:
-            w = np.zeros(len(member_idx))
-            w[r] = 1.0
-            return w, False
-
-    if len(member_idx) < 2:
-        return None
 
     # maximize the worst optimality margin so the solution sits as far from
     # the boundary as the parameter set allows; a boundary-hugging belief
     # would be vulnerable to LP tolerance noise downstream
-    m = len(member_idx)
+    m = len(v_own)
     d = np.hstack([d_own, d_cross])            # (m, alternatives)
     c = np.zeros(m + 1)
     c[-1] = -1.0
@@ -173,25 +133,12 @@ def _feasible_belief(pay: np.ndarray, model, group: int, member_idx: np.ndarray,
     if total <= 0.0:
         return None
     w /= total
-    if not margin_ok(w):
+    # same convention the verifier applies: slack scales with the
+    # belief-blended payoffs, not the raw per-parameter stack
+    s = tie_tolerance(np.concatenate([w @ v_own, w @ v_cross]), tol)
+    if float((w @ d_own).min()) < -s or float((w @ d_cross).min()) < -s:
         return None
     return w, int(np.count_nonzero(w)) > 1
-
-
-def _objective_cube(table: np.ndarray, own_group: int, w_own: float,
-                    w_cross: float) -> np.ndarray:
-    """Weighted explanatory objective for all (own play, cross play) triples.
-
-    Returns (P, n, n, n) indexed [t, a_own_pair, a_me_cross, a_opp_cross]
-    where a_own_pair is the symmetric within-group action.  Zero weights keep
-    infinite divergences infinite.
-    """
-    p_count, n = table.shape[0], table.shape[1]
-    diag = table[:, np.arange(n), np.arange(n), own_group]    # (P, n)
-    cross = table[:, :, :, 1 - own_group]                     # (P, n, n)
-    t_own = np.where(np.isinf(diag), np.inf, w_own * diag)
-    t_cross = np.where(np.isinf(cross), np.inf, w_cross * cross)
-    return t_own[:, :, None, None] + t_cross[:, None, :, :]
 
 
 def _member_cut(obj: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -203,99 +150,146 @@ def _member_cut(obj: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return members, all_inf
 
 
+class _GroupTables:
+    """Share-independent tables of one group in its own frame ``[t, x, y, z]``.
+
+    ``t`` is a model parameter, ``x`` the group's action against its own
+    group, ``y`` its action against the other group and ``z`` the other
+    group's action against it: (a_AA, a_AB, a_BA) for group A and
+    (a_BB, a_BA, a_AB) for group B.
+    """
+
+    def __init__(self, env: StageEnv, model, group: int, gi: int, tol: float):
+        n = env.n_strategies
+        self.n_params = model.n_params
+        table = kl_profile_tables(model, env, gi)
+        diag = table[:, np.arange(n), np.arange(n), group]      # [t, x]
+        cross = table[:, :, :, 1 - group]                        # [t, y, z]
+        # infinite terms are kept apart, so a zero share never meets 0 * inf
+        self.inf_own, self.inf_cross = np.isinf(diag), np.isinf(cross)
+        self.diag = np.where(self.inf_own, 0.0, diag)
+        self.cross = np.where(self.inf_cross, 0.0, cross)
+
+        # payoff of every own action against each parameter's conjectured
+        # opponent action, [t, x, a] and [t, z, a]
+        pay = np.stack([p.kernel.payoff_matrix(env.utility) for p in model.params])
+        self.v_own, self.v_cross = (
+            np.take_along_axis(pay, conjecture_columns(model, og, n)[:, None, :],
+                               axis=2).transpose(0, 2, 1)
+            for og in (group, 1 - group))
+
+        # ok[t, x, y, z]: parameter t alone makes x and y optimal, under the
+        # verifier's tie slack scaled to both payoff columns
+        slack = tol * np.maximum(1.0, np.maximum(
+            np.abs(self.v_own).max(axis=2)[:, :, None],
+            np.abs(self.v_cross).max(axis=2)[:, None, :]))       # [t, x, z]
+        gap_own = np.diagonal(self.v_own, axis1=1, axis2=2) - self.v_own.max(axis=2)
+        gap_cross = self.v_cross - self.v_cross.max(axis=2, keepdims=True)   # [t, z, y]
+        self.ok = ((gap_own[:, :, None, None] >= -slack[:, :, None, :])
+                   & (gap_cross.transpose(0, 2, 1)[:, None] >= -slack[:, :, None, :]))
+
+    def objective(self, w_own: float, w_cross: float) -> np.ndarray:
+        """Weighted explanatory objective of every parameter and triple."""
+        t_own = np.where(self.inf_own, np.inf, w_own * self.diag)
+        t_cross = np.where(self.inf_cross, np.inf, w_cross * self.cross)
+        return t_own[:, :, None, None] + t_cross[:, None, :, :]
+
+
+class _GroupCut:
+    """One group's minimizer sets and certified beliefs at given shares."""
+
+    def __init__(self, tables: _GroupTables, w_own: float, w_cross: float, tol: float):
+        self.tables = tables
+        self.members, self.all_inf = _member_cut(tables.objective(w_own, w_cross), tol)
+        single = self.members & tables.ok
+        self.has_single = single.any(axis=0)
+        self.first = single.argmax(axis=0)        # first rationalizer, index order
+        self.needs_lp = ~self.has_single & (self.members.sum(axis=0) >= 2)
+        self.feasible = self.has_single.copy()
+        self.mixtures: dict[tuple[int, int, int], tuple[np.ndarray, bool]] = {}
+
+    def run_lp(self, wanted: np.ndarray, tol: float) -> np.ndarray:
+        """Certify the ``wanted`` LP triples; returns the feasibility mask."""
+        v_own, v_cross = self.tables.v_own, self.tables.v_cross
+        for x, y, z in np.argwhere(self.needs_lp & wanted):
+            idx = np.flatnonzero(self.members[:, x, y, z])
+            found = _mixture_belief(v_own[idx, x], v_cross[idx, z], x, y, tol)
+            if found is not None:
+                belief = np.zeros(self.tables.n_params)
+                belief[idx] = found[0]
+                self.mixtures[(int(x), int(y), int(z))] = (belief, found[1])
+                self.feasible[x, y, z] = True
+        return self.feasible
+
+    def support(self, x: int, y: int, z: int) -> tuple[np.ndarray, tuple[int, ...], bool, bool]:
+        """(belief, minimizers, all infinite, mixture) of a feasible triple."""
+        if self.has_single[x, y, z]:
+            belief, mixture = np.zeros(self.tables.n_params), False
+            belief[self.first[x, y, z]] = 1.0
+        else:
+            belief, mixture = self.mixtures[(x, y, z)]
+        members = tuple(int(t) for t in np.flatnonzero(self.members[:, x, y, z]))
+        return belief.copy(), members, bool(self.all_inf[x, y, z]), mixture
+
+
+class SituationProblem:
+    """One situation of a model pair, prepared once and solved at any shares.
+
+    Holds the share-independent tables of both groups (KL profile tables,
+    subjective payoff stacks and the single-parameter rationalizer tensor
+    ``ok``); ``tol`` is both the relative argmin cut and the tie slack.
+    """
+
+    def __init__(self, env: StageEnv, model_a, model_b, G, tol: float = ARGMIN_TOL):
+        _require_compatible(env, model_a, "A")
+        _require_compatible(env, model_b, "B")
+        gi = env.situation_index(G)
+        self.situation = env.situations[gi]
+        self.tol = tol
+        self.groups = (_GroupTables(env, model_a, 0, gi, tol),
+                       _GroupTables(env, model_b, 1, gi, tol))
+
+    def solve(self, shares: tuple[float, float]) -> list[SituationOutcome]:
+        """All self-confirming pure-play outcomes at the given shares.
+
+        Group A's constraints depend on (a_AA, a_AB, a_BA) only and group
+        B's on (a_AB, a_BA, a_BB), so each group's triples are certified
+        once and the quadruples are the compatible pairs, in lexicographic
+        order.  A triple without a single-parameter rationalizer reaches
+        the LP only when the other group has a triple that completes it.
+        """
+        p_a, p_b = validate_shares(shares)
+        cut_a = _GroupCut(self.groups[0], p_a, p_b, self.tol)
+        cut_b = _GroupCut(self.groups[1], p_b, p_a, self.tol)
+        # B's own frame [l, k, j] read on A's axes [j, k, l]
+        maybe_b = (cut_b.has_single | cut_b.needs_lp).transpose(2, 1, 0)
+        feas_a = cut_a.run_lp(maybe_b.any(axis=2)[None], self.tol)
+        feas_b = cut_b.run_lp(feas_a.any(axis=0).T[None], self.tol).transpose(2, 1, 0)
+
+        outcomes = []
+        for i, j, k, l in np.argwhere(feas_a[:, :, :, None] & feas_b[None]):
+            i, j, k, l = int(i), int(j), int(k), int(l)
+            belief_a, min_a, inf_a, mix_a = cut_a.support(i, j, k)
+            belief_b, min_b, inf_b, mix_b = cut_b.support(l, k, j)
+            outcomes.append(SituationOutcome(
+                self.situation, (i, j, k, l), belief_a, belief_b, min_a, min_b,
+                inf_a, inf_b, mix_a, mix_b))
+        return outcomes
+
+
 def enumerate_situation_ez(env: StageEnv, model_a, model_b, G,
-                           shares: tuple[float, float], tol: float = ARGMIN_TOL,
-                           n_workers: int | None = None) -> list[SituationOutcome]:
+                           shares: tuple[float, float],
+                           tol: float = ARGMIN_TOL) -> list[SituationOutcome]:
     """All self-confirming pure-play outcomes of one situation.
 
-    Group A's belief constraints depend on (a_AA, a_AB, a_BA) only and group
-    B's on (a_AB, a_BA, a_BB), so feasibility is resolved per triple and the
-    quadruple list is assembled from compatible pairs.
+    Builds the situation's problem and solves it once; to solve at several
+    shares, build one ``SituationProblem`` and call ``solve`` for each.
     """
-    _require_compatible(env, model_a, "A")
-    _require_compatible(env, model_b, "B")
-    gi = env.situation_index(G)
-    g_label = env.situations[gi]
-    n = env.n_strategies
-    p_a, p_b = float(shares[0]), float(shares[1])
-    if not np.isclose(p_a + p_b, 1.0) or min(p_a, p_b) < 0.0:
-        raise ValueError("shares must be a distribution over the two groups")
-
-    table_a = kl_profile_tables(model_a, env, gi)
-    table_b = kl_profile_tables(model_b, env, gi)
-    pay_a = _subjective_payoff_stack(model_a, env)
-    pay_b = _subjective_payoff_stack(model_b, env)
-
-    # objective cubes: A indexed [t, i, j, k], B indexed [t, l, k, j]
-    # for the quadruple (i, j, k, l) = (a_AA, a_AB, a_BA, a_BB)
-    obj_a = _objective_cube(table_a, 0, p_a, p_b)
-    obj_b = _objective_cube(table_b, 1, p_b, p_a)
-    members_a, allinf_a = _member_cut(obj_a, tol)
-    members_b, allinf_b = _member_cut(obj_b, tol)
-
-    def solve_a(i: int) -> dict:
-        out = {}
-        for j in range(n):
-            for k in range(n):
-                m_idx = np.flatnonzero(members_a[:, i, j, k])
-                found = _feasible_belief(pay_a, model_a, 0, m_idx, i, j, i, k, tol)
-                if found is not None:
-                    out[(i, j, k)] = (m_idx, *found, bool(allinf_a[i, j, k]))
-        return out
-
-    def solve_b(l: int) -> dict:
-        out = {}
-        for j in range(n):
-            for k in range(n):
-                m_idx = np.flatnonzero(members_b[:, l, k, j])
-                found = _feasible_belief(pay_b, model_b, 1, m_idx, l, k, l, j, tol)
-                if found is not None:
-                    out[(j, k, l)] = (m_idx, *found, bool(allinf_b[l, k, j]))
-        return out
-
-    workers = _thread_count(n_workers)
-    feas_a: dict = {}
-    feas_b: dict = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(solve_a, range(n)):
-                feas_a.update(part)
-            for part in pool.map(solve_b, range(n)):
-                feas_b.update(part)
-    else:
-        for i in range(n):
-            feas_a.update(solve_a(i))
-        for l in range(n):
-            feas_b.update(solve_b(l))
-
-    outcomes = []
-    for (i, j, k), (idx_a, w_a, mix_a, inf_a) in sorted(feas_a.items()):
-        for l in range(n):
-            hit = feas_b.get((j, k, l))
-            if hit is None:
-                continue
-            idx_b, w_b, mix_b, inf_b = hit
-            belief_a = np.zeros(model_a.n_params)
-            belief_a[idx_a] = w_a
-            belief_b = np.zeros(model_b.n_params)
-            belief_b[idx_b] = w_b
-            outcomes.append(SituationOutcome(
-                g_label, (i, j, k, l), belief_a, belief_b,
-                tuple(int(t) for t in idx_a), tuple(int(t) for t in idx_b),
-                inf_a, inf_b, bool(mix_a), bool(mix_b)))
-    return outcomes
+    return SituationProblem(env, model_a, model_b, G, tol).solve(shares)
 
 
-def enumerate_ez(env: StageEnv, model_a, model_b, shares: tuple[float, float],
-                 tol: float = ARGMIN_TOL, n_workers: int | None = None) -> list[Zeitgeist]:
-    """All self-confirming population states at the given group shares.
-
-    Situations decouple, so the state list is the product of per-situation
-    outcome lists.  Raises when that product would be unreasonably large.
-    """
-    per_situation = [
-        enumerate_situation_ez(env, model_a, model_b, G, shares, tol, n_workers)
-        for G in env.situations]
+def _compose(per_situation: list[list[SituationOutcome]],
+             shares: tuple[float, float]) -> list[Zeitgeist]:
     count = 1
     for lst in per_situation:
         count *= len(lst)
@@ -305,6 +299,23 @@ def enumerate_ez(env: StageEnv, model_a, model_b, shares: tuple[float, float],
                 "(enumerate_situation_ez)")
     return [Zeitgeist((float(shares[0]), float(shares[1])), combo)
             for combo in itertools.product(*per_situation)]
+
+
+def enumerate_ez(env: StageEnv, model_a, model_b, shares: tuple[float, float],
+                 tol: float = ARGMIN_TOL) -> list[Zeitgeist]:
+    """All self-confirming population states at the given group shares.
+
+    Situations decouple, so the state list is the product of per-situation
+    outcome lists.  Raises when that product would be unreasonably large.
+    """
+    return _compose([enumerate_situation_ez(env, model_a, model_b, G, shares, tol)
+                     for G in env.situations], shares)
+
+
+def solve_states(problems: list[SituationProblem],
+                 shares: tuple[float, float]) -> list[Zeitgeist]:
+    """``enumerate_ez`` over prebuilt problems, one per situation in order."""
+    return _compose([p.solve(shares) for p in problems], shares)
 
 
 def fitness(z: Zeitgeist, env: StageEnv, q=None) -> np.ndarray:

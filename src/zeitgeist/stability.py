@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .games import StageEnv, as_weights, best_response_indices, symmetric_nash
-from .solver import (Zeitgeist, conditional_fitness, enumerate_ez,
-                     enumerate_situation_ez, fitness, situation_fitness)
+from .solver import (SituationProblem, Zeitgeist, conditional_fitness,
+                     fitness, situation_fitness, solve_states)
 
 GAP_TOL = 1e-9
 DEFAULT_EPS_LIST = (0.1, 0.05, 0.01, 0.005, 0.001)
@@ -54,18 +54,20 @@ class StabilityVerdict:
 
 def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
                        eps_list=DEFAULT_EPS_LIST, gap_tol: float = GAP_TOL,
-                       tol: float = 1e-9,
-                       n_workers: int | None = None) -> StabilityVerdict:
+                       tol: float = 1e-9) -> StabilityVerdict:
     """Resident-minus-entrant fitness range across all states, per invasion size.
 
     States decouple across situations, so the extreme total gaps are the
     weighted sums of per-situation extreme gaps; the full product of states
-    is never materialized.
+    is never materialized.  Each situation's problem is built once and
+    solved at every invasion size.
     """
     if not len(eps_list):
         raise ValueError("need at least one invasion size")
     eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
     weights = as_weights(q, env.n_situations)
+    problems = [SituationProblem(env, model_resident, model_entrant, G, tol)
+                for G in env.situations]
     evidence = []
     for eps in eps_sorted:
         if not 0.0 < eps < 1.0:
@@ -74,16 +76,14 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
         counts = []
         lo = hi = 0.0
         empty = False
-        for G in env.situations:
-            outcomes = enumerate_situation_ez(env, model_resident, model_entrant,
-                                              G, shares, tol, n_workers)
+        for gi, (G, problem) in enumerate(zip(env.situations, problems)):
+            outcomes = problem.solve(shares)
             counts.append(len(outcomes))
             if not outcomes:
                 empty = True
                 continue
             pairs = [situation_fitness(o, env, G, shares) for o in outcomes]
             gaps = [float(f[0] - f[1]) for f in pairs]
-            gi = env.situation_index(G)
             lo += weights[gi] * min(gaps)
             hi += weights[gi] * max(gaps)
         if empty:
@@ -126,8 +126,9 @@ def detect_reversal(env: StageEnv, model_a, model_b, tol: float = GAP_TOL,
         raise ValueError("reversal detection is defined for a single situation")
     G = env.situations[0]
 
-    states_a = tuple(enumerate_ez(env, model_a, model_b, (1.0, 0.0), solver_tol))
-    states_b = tuple(enumerate_ez(env, model_a, model_b, (0.0, 1.0), solver_tol))
+    problems = [SituationProblem(env, model_a, model_b, G, solver_tol)]
+    states_a = tuple(solve_states(problems, (1.0, 0.0)))
+    states_b = tuple(solve_states(problems, (0.0, 1.0)))
 
     cond_a = bool(states_a)
     for z in states_a:
@@ -157,9 +158,13 @@ class StableSharesResult:
 def first_ez_selector(env: StageEnv, model_a, model_b, q=None,
                       tol: float = 1e-9, pick: int = 0):
     """Fitness pair of the ``pick``-th state in enumeration order, as a
-    function of group A's share; None when no state exists."""
+    function of group A's share; None when no state exists.  The
+    situation problems are built once, here, and solved at every share."""
+    problems = [SituationProblem(env, model_a, model_b, G, tol)
+                for G in env.situations]
+
     def select(p_a: float):
-        states = enumerate_ez(env, model_a, model_b, (p_a, 1.0 - p_a), tol)
+        states = solve_states(problems, (p_a, 1.0 - p_a))
         if len(states) <= pick:
             return None
         f = fitness(states[pick], env, q)

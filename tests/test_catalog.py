@@ -219,3 +219,15 @@ def test_dollar_variant_validation_and_dominance():
     r10 = catalog.dollar_analysis(10)
     want = np.array([[0.5, 9.5], [0.0, 5.0]])
     assert r10.match_payoffs == pytest.approx(want, abs=1e-12)
+
+
+def test_grid_kernel_payoff_matrix_follows_a_new_utility_array():
+    edges = np.linspace(-5.0, 15.0, 21)
+    kern = catalog.GaussianGridKernel(np.array([0.0, 1.0, 2.0]), 1.0, 8.0, 2.0, edges)
+    rng = np.random.default_rng(5)
+    utilities = [rng.normal(size=(3, 20)).tolist() for _ in range(50)]
+    wants = [np.array([kern.rows_for_own(i) @ np.array(rows[i]) for i in range(3)])
+             for rows in utilities]
+    # a fresh utility array may reuse a freed one's address
+    for rows, want in zip(utilities, wants):
+        assert np.array_equal(kern.payoff_matrix(np.array(rows)), want)

@@ -104,15 +104,6 @@ def test_invalid_shares_flag(tmp_path, capsys):
     assert "shares" in capsys.readouterr().err
 
 
-def test_classify_rejects_bad_thread_env(tmp_path, monkeypatch, capsys):
-    env_path, model_path = _save_pair(coordination_env(), tmp_path)
-    monkeypatch.setenv("ZEITGEIST_THREADS", "abc")
-    rc = cli.main(["classify", "--env", env_path, "--model-a", model_path,
-                   "--model-b", model_path])
-    assert rc == 1
-    assert "ZEITGEIST_THREADS" in capsys.readouterr().err
-
-
 def test_classify_prints_verdict(tmp_path, capsys):
     env_path, model_path = _save_pair(coordination_env(), tmp_path)
     rc = cli.main(["classify", "--env", env_path, "--model-a", model_path,

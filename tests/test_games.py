@@ -189,3 +189,14 @@ def test_fitness_weights_validation():
     assert np.allclose(as_weights([0.2, 0.8], 2), [0.2, 0.8])
     with pytest.raises(ValueError):
         as_weights([0.2, 0.2], 2)
+
+
+def test_payoff_matrix_follows_a_new_utility_array():
+    # a fresh utility array may reuse a freed one's address; the cached
+    # matrix must still belong to the array passed in
+    rng = np.random.default_rng(3)
+    k = DenseKernel(rng.dirichlet(np.ones(3), size=(2, 2)))
+    for _ in range(50):
+        rows = rng.normal(size=(2, 3)).tolist()
+        want = np.einsum("ijy,iy->ij", k.table, np.array(rows))
+        assert np.array_equal(k.payoff_matrix(np.array(rows)), want)
