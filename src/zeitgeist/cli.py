@@ -74,6 +74,7 @@ class Manifest:
         self.seed = seed
         self.config_paths = [str(p) for p in config_paths]
         self.outputs: list[str] = []
+        self.stats: dict = {}     # run counters, written when any are set
         self.t0 = time.time()
 
     def path_for(self, name: str) -> str:
@@ -88,6 +89,8 @@ class Manifest:
                "tool_version": __version__,
                "outputs": sorted(self.outputs),
                "wall_clock_s": round(time.time() - self.t0, 3)}
+        if self.stats:
+            doc["stats"] = self.stats
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, "manifest.yaml")
         with open(path, "w") as fh:
@@ -359,6 +362,8 @@ def cmd_learn(args) -> int:
     ez = enumerate_ez(env, model_a, model_b, cfg.shares)
     rep = compare_to_ez(traj, ez, window=window)
     play = tuple(env.strategies[i] for i in rep.modal_play)
+    restarts = [int(r) for r in traj.restarts.sum(axis=0)]
+    man.stats["posterior_restarts"] = {"A": restarts[0], "B": restarts[1]}
     lines = [f"converged: {rep.converged}",
              f"window: final {rep.window} periods, situation "
              f"{env.situations[rep.situation]}",
@@ -367,7 +372,8 @@ def cmd_learn(args) -> int:
              f"B={rep.mean_payoff[1]:.6g}",
              f"states found: {len(ez)}; best match: {rep.best_index} "
              f"(play mismatches {rep.play_mismatch}, "
-             f"belief distance {rep.belief_tv:.6g})"]
+             f"belief distance {rep.belief_tv:.6g})",
+             f"posterior restarts: A={restarts[0]} B={restarts[1]}"]
     text = "\n".join(lines)
     _emit(man, "comparison", text,
           {"converged": rep.converged, "window": rep.window,
@@ -377,7 +383,8 @@ def cmd_learn(args) -> int:
            "kernel_belief_b": rep.kernel_belief_b,
            "best_index": rep.best_index,
            "play_mismatch": rep.play_mismatch,
-           "belief_tv": rep.belief_tv})
+           "belief_tv": rep.belief_tv,
+           "restarts": restarts})
     man.write()
     print(text)
     return EXIT_OK

@@ -118,6 +118,17 @@ def weighted_kl(param, ctx: DataContext, env) -> float:
     return total
 
 
+def member_cut(values: np.ndarray, tol: float = ARGMIN_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Relative argmin cut along axis 0: the membership mask of the values
+    within ``tol * max(1, |min|)`` of each column's minimum, and the mask of
+    columns whose values are all infinite, which keep every member.  A
+    vector is the one-column case."""
+    best = values.min(axis=0)
+    all_inf = np.isinf(best)
+    members = (values <= best + tol * np.maximum(1.0, np.abs(best))) | all_inf
+    return members, all_inf
+
+
 @dataclass(frozen=True)
 class MinimizerResult:
     indices: tuple[int, ...]
@@ -132,12 +143,9 @@ def kl_minimizers(model, ctx: DataContext, env, tol: float = ARGMIN_TOL) -> Mini
     flagged; this is legal data, not an error.
     """
     values = np.array([weighted_kl(p, ctx, env) for p in model.params])
-    finite = np.isfinite(values)
-    if not finite.any():
-        return MinimizerResult(tuple(range(len(values))), values, True)
-    m = values[finite].min()
-    cut = m + tol * max(1.0, abs(m))
-    return MinimizerResult(tuple(np.flatnonzero(values <= cut)), values, False)
+    members, all_inf = member_cut(values, tol)
+    return MinimizerResult(tuple(np.flatnonzero(members).tolist()), values,
+                           bool(all_inf))
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -183,11 +191,3 @@ def kl_profile_tables(model, env, G) -> np.ndarray:
         out[..., og] = (_kl_rows(true_rows[None], predicted)
                         + kl_mon[np.arange(n), cols][:, None, :])
     return out
-
-
-def minimizer_set(values: np.ndarray, tol: float = ARGMIN_TOL) -> tuple[np.ndarray, bool]:
-    finite = np.isfinite(values)
-    if not finite.any():
-        return np.arange(len(values)), True
-    m = values[finite].min()
-    return np.flatnonzero(values <= m + tol * max(1.0, abs(m))), False

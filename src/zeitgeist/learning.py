@@ -16,6 +16,13 @@ matches against the relevant opponent group, exactly myopic afterward
 (optionally softened by a decaying exploration rate).  The whole run is
 a deterministic function of the seed: one generator, a fixed draw order
 inside each period, and index ties broken low.
+
+The models' likelihood and payoff tables are built once per run, since
+they do not depend on the situation; only the true kernel's cumulative
+consequence table is built per situation, and consequences are drawn from
+it by inverse CDF.  Posteriors are normalized with the row-wise
+``logsumexp`` below, which repeats scipy's arithmetic without its
+per-call overhead.
 """
 
 from __future__ import annotations
@@ -23,10 +30,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .games import StageEnv, as_weights
+from .inference import validate_shares
 from .models import Model
+
+
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of a 2-d array, as an (n, 1) column.
+
+    The arithmetic is ``scipy.special.logsumexp``'s: the tied row maxima
+    are counted and set aside, the rest are summed after the shift, so the
+    result is bit-equal to ``logsumexp(a, axis=1, keepdims=True)`` for
+    finite or ``-inf`` entries.  An all ``-inf`` row gives ``-inf``.
+    """
+    # the max and the tie count are exact in any order, so they run down the
+    # columns of a transposed copy, across all rows at once; only the sum
+    # below must keep scipy's row order
+    cols = a.T.copy()
+    a_max = cols.max(axis=0)
+    m = (cols == a_max).sum(axis=0, dtype=a.dtype)[:, None]
+    a_max = a_max[:, None]
+    top = a == a_max
+    # an all -inf row is shifted by 0 instead of -inf, so no inf - inf NaN
+    e = np.exp(a - np.where(np.isfinite(a_max), a_max, 0.0))
+    np.copyto(e, 0.0, where=top)
+    s = e.sum(axis=1, keepdims=True)
+    s /= m
+    return np.log1p(s) + np.log(m) + a_max
 
 
 @dataclass(frozen=True)
@@ -55,9 +86,7 @@ class SimConfig:
     situation_period: int | None = None  # redraw cadence; None = never redraw
 
     def __post_init__(self):
-        pa, pb = self.shares
-        if min(pa, pb) < 0 or abs(pa + pb - 1.0) > 1e-9:
-            raise ValueError("shares must be a two-point distribution")
+        validate_shares(self.shares)
         if not 0.0 <= self.tau < 1.0:
             raise ValueError("monitoring accuracy tau must lie in [0, 1)")
         if self.horizon < 0:
@@ -84,7 +113,9 @@ class LearningTrajectory:
     ``g`` (burn-in exploration included).  ``nu_a`` / ``nu_b`` are mean
     posteriors over the groups' expanded parameter grids, ``payoff[t, g]``
     the mean realized payoff of group ``g`` in period ``t``, and
-    ``running_payoff`` its cumulative average.
+    ``running_payoff`` its cumulative average.  ``restarts[t, g]`` counts
+    the agents of group ``g`` whose posterior a zero-likelihood trap wiped
+    in period ``t`` and that restarted from the prior.
     """
 
     situations: np.ndarray          # (T,) situation index per period
@@ -93,6 +124,7 @@ class LearningTrajectory:
     nu_b: np.ndarray                # (T, P_B)
     payoff: np.ndarray              # (T, 2)
     running_payoff: np.ndarray      # (T, 2)
+    restarts: np.ndarray            # (T, 2) posterior restarts per period
     model_a: Model                  # expanded models the posteriors refer to
     model_b: Model
     config: SimConfig
@@ -148,8 +180,8 @@ def _expanded_prior(model: Model, expanded: Model, prior) -> np.ndarray:
     return out / total
 
 
-def _likelihood_tables(model: Model, env: StageEnv, gi: int, tau: float):
-    """Log-likelihood lookups for one situation.
+def _likelihood_tables(model: Model, env: StageEnv, tau: float):
+    """Log-likelihood lookups; they do not depend on the situation.
 
     Returns (ll, lm): ``ll[og, p, a, y]`` is the log probability parameter
     ``p`` assigns to consequence ``y`` after own action ``a`` against an
@@ -187,6 +219,31 @@ def _payoff_tables(model: Model, env: StageEnv) -> np.ndarray:
     return out
 
 
+def _consequence_cdf(kernel, n: int):
+    """``cdf(own, opp)``: the true kernel's cumulative consequence rows for
+    arrays of (own, opponent) action pairs.
+
+    A kernel with a dense ``table`` is cumulated whole, once.  Other kernels
+    (the Gaussian grid kernel never stores its (n, n, bins) table) have each
+    pair's row cumulated the first time that pair is drawn.  ``cumsum`` runs
+    along each row either way, so the rows are the same bits.
+    """
+    table = getattr(kernel, "table", None)
+    if table is not None:
+        cum = np.cumsum(table, axis=2)
+        return lambda own, opp: cum[own, opp]
+    rows: dict[int, np.ndarray] = {}
+
+    def cdf(own, opp):
+        keys, inv = np.unique(own * n + opp, return_inverse=True)
+        keys = keys.tolist()
+        for k in keys:
+            if k not in rows:
+                rows[k] = np.cumsum(kernel.row(*divmod(k, n)))
+        return np.stack([rows[k] for k in keys])[inv]
+    return cdf
+
+
 def run_learning(env: StageEnv, model_a: Model, model_b: Model,
                  cfg: SimConfig) -> LearningTrajectory:
     """Simulate the two-group Bayesian learning process.
@@ -211,17 +268,11 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
     T = cfg.horizon
     redraw = cfg.situation_period
 
-    models = (exp_a, exp_b)
     log_prior = tuple(np.log(p) for p in prior)
-    # per-situation tables, built lazily on first visit
-    tables: dict[int, tuple] = {}
-
-    def situation_tables(gi: int):
-        if gi not in tables:
-            tables[gi] = tuple(
-                (*_likelihood_tables(m, env, gi, cfg.tau), _payoff_tables(m, env))
-                for m in models)
-        return tables[gi]
+    per_model = tuple((*_likelihood_tables(m, env, cfg.tau), _payoff_tables(m, env))
+                      for m in (exp_a, exp_b))
+    # the true kernel's CDF rows per situation, built on first visit
+    cdfs = {}
 
     log_post = [np.tile(log_prior[g], (sizes[g], 1)) for g in range(2)]
     counts = [np.zeros((sizes[g], 2), dtype=int) for g in range(2)]
@@ -231,6 +282,7 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
     traj_nu = [np.zeros((T, exp_a.n_params)), np.zeros((T, exp_b.n_params))]
     traj_pay = np.zeros((T, 2))
     traj_run = np.zeros((T, 2))
+    traj_restarts = np.zeros((T, 2), dtype=int)
 
     gi = 0
     pay_sum = np.zeros(2)
@@ -243,8 +295,9 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
                 for g in range(2):
                     log_post[g][:] = log_prior[g]
                     counts[g][:] = 0
-        per_model = situation_tables(gi)
-        true_kernel = env.kernels[gi]
+            if gi not in cdfs:
+                cdfs[gi] = _consequence_cdf(env.kernels[gi], n)
+            cdf = cdfs[gi]
 
         # fixed draw order: exploration actions, exploration coin, opponent
         # group, opponent index, consequence, signal coin, signal fallback
@@ -261,8 +314,7 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
         act = np.empty((n_all, 2), dtype=int)
         for g in range(2):
             ll, lm, pay = per_model[g]
-            post = np.exp(log_post[g] - logsumexp(log_post[g], axis=1,
-                                                  keepdims=True))
+            post = np.exp(log_post[g] - logsumexp(log_post[g]))
             sl = slice(offsets[g], offsets[g] + sizes[g])
             for og in (0, 1):
                 myopic = np.argmax(post @ pay[og], axis=1)
@@ -283,14 +335,8 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
         a_own = act[np.arange(n_all), opp_group]
         a_opp = act[opp_idx, group_of]
 
-        table = getattr(true_kernel, "table", None)
-        if table is not None:
-            rows = table[a_own, a_opp]
-        else:
-            rows = np.stack([true_kernel.row(a_own[i], a_opp[i])
-                             for i in range(n_all)])
-        y = (y_u[:, None] > np.cumsum(rows, axis=1)).sum(axis=1)
-        y = np.minimum(y, rows.shape[1] - 1)
+        cum = cdf(a_own, a_opp)
+        y = np.minimum((y_u[:, None] > cum).sum(axis=1), cum.shape[1] - 1)
         m = np.where(m_v < cfg.tau, a_opp, m_w)
 
         realized = env.utility[a_own, y]
@@ -300,12 +346,13 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
             add = ll[opp_group[sl], :, a_own[sl], y[sl]] \
                 + lm[opp_group[sl], :, m[sl]]
             log_post[g] += add
-            norm = logsumexp(log_post[g], axis=1, keepdims=True)
+            norm = logsumexp(log_post[g])
             dead = ~np.isfinite(norm[:, 0])
             if dead.any():
                 # a zero-likelihood trap wiped these posteriors; restart them
                 log_post[g][dead] = log_prior[g]
                 norm[dead] = 0.0
+                traj_restarts[t, g] = np.count_nonzero(dead)
             log_post[g] -= norm
             counts[g][np.arange(sizes[g]), opp_group[sl]] += 1
             traj_pay[t, g] = realized[sl].mean()
@@ -315,7 +362,7 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
         traj_run[t] = pay_sum / (t + 1)
 
     return LearningTrajectory(traj_sit, traj_alpha, traj_nu[0], traj_nu[1],
-                              traj_pay, traj_run, exp_a, exp_b, cfg)
+                              traj_pay, traj_run, traj_restarts, exp_a, exp_b, cfg)
 
 
 @dataclass(frozen=True)

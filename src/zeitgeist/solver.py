@@ -25,7 +25,8 @@ from scipy.optimize import linprog
 
 from .games import StageEnv, as_weights, tie_tolerance
 from .inference import (ARGMIN_TOL, DataContext, conjecture_columns,
-                        kl_minimizers, kl_profile_tables, validate_shares)
+                        kl_minimizers, kl_profile_tables, member_cut,
+                        validate_shares)
 
 QUAD_KEYS = ("a_AA", "a_AB", "a_BA", "a_BB")
 
@@ -141,15 +142,6 @@ def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
     return w, int(np.count_nonzero(w)) > 1
 
 
-def _member_cut(obj: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimizer membership mask over axis 0 plus the all-infinite mask."""
-    best = obj.min(axis=0)
-    all_inf = np.isinf(best)
-    cut = np.where(all_inf, np.inf, best + tol * np.maximum(1.0, np.abs(best)))
-    members = (obj <= cut) | all_inf[None, ...]
-    return members, all_inf
-
-
 class _GroupTables:
     """Share-independent tables of one group in its own frame ``[t, x, y, z]``.
 
@@ -200,7 +192,7 @@ class _GroupCut:
 
     def __init__(self, tables: _GroupTables, w_own: float, w_cross: float, tol: float):
         self.tables = tables
-        self.members, self.all_inf = _member_cut(tables.objective(w_own, w_cross), tol)
+        self.members, self.all_inf = member_cut(tables.objective(w_own, w_cross), tol)
         single = self.members & tables.ok
         self.has_single = single.any(axis=0)
         self.first = single.argmax(axis=0)        # first rationalizer, index order

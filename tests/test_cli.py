@@ -190,3 +190,23 @@ def test_reproduce_unknown_check(capsys):
     rc = cli.main(["reproduce", "--only", "bogus"])
     assert rc == 1
     assert "cournot" in capsys.readouterr().err
+
+
+def test_learn_reports_posterior_restarts(tmp_path, capsys):
+    env_path, model_path = _save_pair(coordination_env(), tmp_path)
+    sim_path = tmp_path / "sim.yaml"
+    sim_path.write_text("kind: sim\nn_agents: 16\nshares: [0.5, 0.5]\n"
+                        "horizon: 40\nseed: 5\n")
+    out = tmp_path / "o"
+    rc = cli.main(["learn", "--env", env_path, "--model-a", model_path,
+                   "--model-b", model_path, "--sim", str(sim_path),
+                   "--out", str(out)])
+    assert rc == 0
+    # deterministic consequences: an agent that meets both opponent actions
+    # of one group during burn-in rules out every conjecture about it
+    counts = _read_manifest(out)["stats"]["posterior_restarts"]
+    assert counts["A"] > 0 and counts["B"] > 0
+    assert (f"posterior restarts: A={counts['A']} B={counts['B']}"
+            in capsys.readouterr().out)
+    with open(out / "comparison.yaml") as fh:
+        assert yaml.safe_load(fh)["restarts"] == [counts["A"], counts["B"]]

@@ -11,7 +11,7 @@ from zeitgeist.inference import (
     kl_divergence,
     kl_minimizers,
     kl_profile_tables,
-    minimizer_set,
+    member_cut,
     scale_kl,
     weighted_kl,
 )
@@ -58,11 +58,11 @@ def test_scale_kl_zero_weight_keeps_infinity():
 
 def test_minimizer_set_relative_cut():
     vals = np.array([1.0, 1.0 + 1e-12, 2.0])
-    idx, all_inf = minimizer_set(vals)
-    assert list(idx) == [0, 1]
+    members, all_inf = member_cut(vals)
+    assert list(np.flatnonzero(members)) == [0, 1]
     assert not all_inf
-    idx, all_inf = minimizer_set(np.array([np.inf, np.inf]))
-    assert list(idx) == [0, 1]
+    members, all_inf = member_cut(np.array([np.inf, np.inf]))
+    assert list(np.flatnonzero(members)) == [0, 1]
     assert all_inf
 
 

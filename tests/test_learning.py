@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from conftest import coordination_env
-from zeitgeist import catalog
+from zeitgeist import catalog, learning
+from zeitgeist.games import StageEnv
 from zeitgeist.learning import Policy, SimConfig, compare_to_ez, run_learning
-from zeitgeist.models import minimal_correct_model
+from zeitgeist.models import minimal_correct_model, singleton_model
 from zeitgeist.solver import enumerate_ez
 
 
@@ -165,3 +170,104 @@ def test_entrant_world_learning_reaches_discount_belief():
     assert report.modal_play[3] == 1
     idx = int(np.argmax(report.kernel_belief_b))
     assert model_b.kernel_labels[idx] == "slope=4"
+
+
+# ---------------------------------------------------------------------------
+# the fast path: inline logsumexp and CDF sampling keep every output bit
+
+_TRAJECTORY_FIELDS = ("situations", "alpha", "nu_a", "nu_b", "payoff",
+                      "running_payoff", "restarts")
+
+
+def _assert_same_trajectory(t1, t2):
+    for name in _TRAJECTORY_FIELDS:
+        assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes(), name
+
+
+_ENTRY = st.one_of(st.sampled_from([-np.inf, 0.0, 1.0, -2.5, 1e3, -1e3]),
+                   st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), rows=st.integers(1, 50), cols=st.integers(1, 30))
+def test_logsumexp_is_bit_equal_to_scipy(data, rows, cols):
+    a = np.array(data.draw(st.lists(_ENTRY, min_size=rows * cols,
+                                    max_size=rows * cols))).reshape(rows, cols)
+    for r in data.draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+        a[r] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = learning.logsumexp(a)
+    want = scipy_logsumexp(a, axis=1, keepdims=True)
+    assert got.shape == (rows, 1)
+    assert got.tobytes() == want.tobytes()
+
+
+def _investment_run(env=None):
+    spec = catalog.InvestmentSpec(1.0, 5.5, 12.0)
+    inv_env, model_a, model_b, _ = catalog.build_investment_game(spec)
+    cfg = SimConfig(n_agents=60, shares=(0.05, 0.95), horizon=150, seed=11)
+    return run_learning(env or inv_env, model_a, model_b, cfg)
+
+
+def test_run_matches_scipy_logsumexp(monkeypatch):
+    env = coordination_env()
+    model = minimal_correct_model(env)
+    fast = (run_learning(env, model, model, _small_config()), _investment_run())
+    monkeypatch.setattr(learning, "logsumexp",
+                        lambda a: scipy_logsumexp(a, axis=1, keepdims=True))
+    slow = (run_learning(env, model, model, _small_config()), _investment_run())
+    for t_fast, t_slow in zip(fast, slow):
+        _assert_same_trajectory(t_fast, t_slow)
+
+
+class _RowsOnlyKernel:
+    """A true kernel that serves rows but has no dense ``table``."""
+
+    def __init__(self, dense):
+        self._dense = dense
+        self.n_strategies = dense.n_strategies
+
+    def row(self, i, j):
+        return self._dense.row(i, j)
+
+    def rows_for_own(self, i):
+        return self._dense.rows_for_own(i)
+
+    def payoff_matrix(self, utility):
+        return self._dense.payoff_matrix(utility)
+
+
+def _rows_only_twin(env):
+    return StageEnv(env.strategies, env.consequences, env.situations,
+                    [_RowsOnlyKernel(k) for k in env.kernels], env.utility,
+                    env.monitoring)
+
+
+def test_kernel_without_table_samples_like_its_dense_twin():
+    spec = catalog.InvestmentSpec(1.0, 5.5, 12.0)
+    env, _, _, _ = catalog.build_investment_game(spec)
+    _assert_same_trajectory(_investment_run(_rows_only_twin(env)), _investment_run(env))
+
+    env = catalog.build_two_situation_game()
+    model = minimal_correct_model(env)
+    cfg = _small_config(horizon=100, situation_period=25, seed=3)
+    _assert_same_trajectory(run_learning(_rows_only_twin(env), model, model, cfg),
+                            run_learning(env, model, model, cfg))
+
+
+def test_zero_likelihood_traps_are_counted_and_restarted():
+    env = coordination_env()
+    # consequence follows own action only, so a miss (c2) has zero mass
+    # under every parameter and wipes every posterior that sees one
+    table = np.zeros((2, 2, 3))
+    table[0, :, 0] = 1.0
+    table[1, :, 1] = 1.0
+    model = singleton_model(env, table, label="no_miss")
+    traj = run_learning(env, model, model, _small_config(horizon=60))
+    assert traj.restarts.shape == (60, 2)
+    assert np.issubdtype(traj.restarts.dtype, np.integer)
+    assert traj.restarts.sum() > 0
+    for nu in (traj.nu_a, traj.nu_b):
+        assert np.all(np.isfinite(nu))
+        assert np.max(np.abs(nu.sum(axis=1) - 1.0)) <= 1e-9
