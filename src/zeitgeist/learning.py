@@ -39,10 +39,12 @@ from .models import Model
 def logsumexp(a: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp of a 2-d array, as an (n, 1) column.
 
-    The arithmetic is ``scipy.special.logsumexp``'s: the tied row maxima
-    are counted and set aside, the rest are summed after the shift, so the
-    result is bit-equal to ``logsumexp(a, axis=1, keepdims=True)`` for
-    finite or ``-inf`` entries.  An all ``-inf`` row gives ``-inf``.
+    The arithmetic is that of ``scipy.special.logsumexp`` since scipy 1.15
+    (the floor in ``pyproject.toml``): the tied row maxima are counted and
+    set aside, the rest are summed after the shift, so the result is
+    bit-equal to ``logsumexp(a, axis=1, keepdims=True)`` for finite or
+    ``-inf`` entries.  Older scipy computes ``log(sum(exp(a - max))) + max``,
+    which differs in the low bits.  An all ``-inf`` row gives ``-inf``.
     """
     # the max and the tie count are exact in any order, so they run down the
     # columns of a transposed copy, across all rows at once; only the sum
@@ -219,29 +221,21 @@ def _payoff_tables(model: Model, env: StageEnv) -> np.ndarray:
     return out
 
 
-def _consequence_cdf(kernel, n: int):
+def _consequence_cdf(kernel):
     """``cdf(own, opp)``: the true kernel's cumulative consequence rows for
     arrays of (own, opponent) action pairs.
 
     A kernel with a dense ``table`` is cumulated whole, once.  Other kernels
-    (the Gaussian grid kernel never stores its (n, n, bins) table) have each
-    pair's row cumulated the first time that pair is drawn.  ``cumsum`` runs
-    along each row either way, so the rows are the same bits.
+    (the Gaussian grid kernel never stores its (n, n, bins) table) have the
+    drawn rows stacked and cumulated at each call.  ``cumsum`` runs along
+    each row either way, so the rows are the same bits.
     """
     table = getattr(kernel, "table", None)
     if table is not None:
         cum = np.cumsum(table, axis=2)
         return lambda own, opp: cum[own, opp]
-    rows: dict[int, np.ndarray] = {}
-
-    def cdf(own, opp):
-        keys, inv = np.unique(own * n + opp, return_inverse=True)
-        keys = keys.tolist()
-        for k in keys:
-            if k not in rows:
-                rows[k] = np.cumsum(kernel.row(*divmod(k, n)))
-        return np.stack([rows[k] for k in keys])[inv]
-    return cdf
+    return lambda own, opp: np.cumsum(
+        np.stack([kernel.row(i, j) for i, j in zip(own, opp)]), axis=1)
 
 
 def run_learning(env: StageEnv, model_a: Model, model_b: Model,
@@ -296,7 +290,7 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
                     log_post[g][:] = log_prior[g]
                     counts[g][:] = 0
             if gi not in cdfs:
-                cdfs[gi] = _consequence_cdf(env.kernels[gi], n)
+                cdfs[gi] = _consequence_cdf(env.kernels[gi])
             cdf = cdfs[gi]
 
         # fixed draw order: exploration actions, exploration coin, opponent
