@@ -11,8 +11,7 @@ In the winner-take-all variant the pooled group dominates outright.
 
 import numpy as np
 
-from zeitgeist.catalog import (CentipedeSpec, centipede_analysis,
-                               dollar_analysis, make_centipede_selector)
+from zeitgeist.catalog import CentipedeSpec, centipede_analysis, dollar_analysis
 from zeitgeist.stability import scan_stable_shares
 
 spec = CentipedeSpec(K=10, g=1.0, l=2.0)
@@ -28,7 +27,7 @@ print(f"fitted pooled stopping rate:        {report.analogy_minimizer_x:.4f} "
 print(f"match payoffs [[AA, AB], [BA, BB]]:\n{report.match_payoffs}")
 print(f"stable share of the pooled group:   {report.p_star_b:.4f}")
 
-scan = scan_stable_shares(make_centipede_selector(spec))
+scan = scan_stable_shares(report.share_fitness)
 print(f"grid scan agrees: fitness gap falls through zero at fine-group "
       f"share {scan.thresholds[0]:.4f} = 1 - {report.p_star_b:.2f}")
 
@@ -36,7 +35,7 @@ print()
 for K in (6, 8, 10, 12):
     rep = dollar_analysis(K)
     grid = np.linspace(0.0, 1.0, 101)
-    gap = rep.fitness_a(grid) - rep.fitness_b(grid)
+    gap = rep.gap(grid)
     print(f"winner-take-all K={K:>2}: fine group ahead at every share "
           f"(min gap {gap.min():.3f})")
 print("\nwith the whole forgone pie handed to the opponent, pooling never")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .games import DenseKernel, StageEnv, tie_tolerance
+from .games import DenseKernel, StageEnv, best_reply_mask, tie_tolerance
 from .models import Model, _certainty_form_model, singleton_model
 from .solver import SituationOutcome, Zeitgeist, verify_ez
 
@@ -285,17 +285,14 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
     grid_a = np.array([p.kernel.intercept for p in model_a.params])
     grid_b = np.array([p.kernel.intercept for p in model_b.params])
 
-    def pay_matrix(kern: GaussianGridKernel) -> np.ndarray:
-        return kern.payoff_matrix(env.utility)
-
     def pay_column(slope, intercept, a_opp: int) -> np.ndarray:
-        """Subjective payoff of each own quantity against opponent index."""
-        ref = GaussianGridKernel(q, slope, intercept, truth.sigma, truth.edges)
+        """Subjective payoff of each own quantity against opponent index;
+        bin masses depend only on the shared edges and noise scale."""
         mus = intercept - slope * (q + q[a_opp])
-        return q * (ref.binned_mean(mus) - cost)
+        return q * (truth.binned_mean(mus) - cost)
 
     def br_set(col: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(col >= col.max() - tie_tolerance(col, tol))
+        return np.flatnonzero(best_reply_mask(col, tol))
 
     def fixed_points(pay: np.ndarray) -> list[int]:
         slack = tie_tolerance(pay, tol)
@@ -306,7 +303,7 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
     # at (0, 1)
     idx_beta = _nearest_index(grid_a, beta)
     kern_a = model_a.params[idx_beta].kernel
-    pay_a = pay_matrix(kern_a)
+    pay_a = kern_a.payoff_matrix(env.utility)
     feasible_aa = fixed_points(pay_a)
 
     situation = env.situations[0]
@@ -335,11 +332,11 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
                 target = beta + (q[a_ba] + q[a_ab]) * (r_hat - r)
                 idx_b = _nearest_index(grid_b, target)
                 col = pay_column(r_hat, grid_b[idx_b], a_ab)
-                if col[a_ba] >= col.max() - tie_tolerance(col, tol):
+                if best_reply_mask(col, tol)[a_ba]:
                     triples.append((int(a_ab), a_ba, idx_b))
         for a_ab, a_ba, idx_b in triples:
             kern_b = model_b.params[idx_b].kernel
-            for a_bb in fixed_points(pay_matrix(kern_b)):
+            for a_bb in fixed_points(kern_b.payoff_matrix(env.utility)):
                 for a_aa in feasible_aa:
                     states.append(outcome((a_aa, a_ab, a_ba, a_bb), idx_b))
     else:
@@ -351,7 +348,7 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
             idx_b = _nearest_index(grid_b, target)
             intercept = grid_b[idx_b]
             col_bb = pay_column(r_hat, intercept, a_bb)
-            if col_bb[a_bb] < col_bb.max() - tie_tolerance(col_bb, tol):
+            if not best_reply_mask(col_bb, tol)[a_bb]:
                 continue
             cols: dict[int, np.ndarray] = {}
             for a_ba in range(n):
@@ -359,7 +356,7 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
                     col = cols.get(a_ab)
                     if col is None:
                         col = cols[a_ab] = pay_column(r_hat, intercept, a_ab)
-                    if col[a_ba] >= col.max() - tie_tolerance(col, tol):
+                    if best_reply_mask(col, tol)[a_ba]:
                         for a_aa in feasible_aa:
                             states.append(outcome((a_aa, a_ab, a_ba, a_bb), idx_b))
 
@@ -677,28 +674,27 @@ def _match_payoffs(game: _Ladder) -> np.ndarray:
     return m
 
 
-def _pooled_rate_objective(K: int, x) -> np.ndarray:
-    """Divergence of explaining one observed stop after K/2 - 1 passes with a
-    constant per-node stop rate x, halved for the even role draw."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        return -0.5 * ((K / 2.0 - 1.0) * np.log1p(-x) + np.log(x))
+def _pooled_rate(K: int) -> float:
+    """Stop rate the pooled reasoners fit to their data.
 
-
-def _pooled_rate_minimizer(K: int, grid_step: float = 1e-6) -> float:
-    x = np.arange(1, int(round(1.0 / grid_step))) * grid_step
-    return float(x[np.argmin(_pooled_rate_objective(K, x))])
+    They see one stop after K/2 - 1 passes, so a constant per-node stop
+    rate x has divergence -(K/2 - 1)*log(1 - x) - log(x) (Jehiel, JET 2005).
+    Its first-order condition (K/2 - 1)/(1 - x) = 1/x gives x = 2/K.
+    """
+    return 2.0 / K
 
 
 @dataclass(frozen=True)
-class CentipedeReport:
-    spec: CentipedeSpec
-    condition_holds: bool
+class StoppingReport:
+    """Maximal-continuation profile of a stopping ladder and its fitness lines."""
+
     maximal_continuation_verified: bool
     binding_margin: float
-    analogy_minimizer_x: float
     match_payoffs: np.ndarray          # (group, opponent group)
-    p_star_b: float | None
+
+    @property
+    def applies(self) -> bool:
+        return self.maximal_continuation_verified
 
     def fitness_a(self, p):
         p = np.asarray(p, dtype=float)
@@ -710,6 +706,26 @@ class CentipedeReport:
 
     def gap(self, p):
         return self.fitness_a(p) - self.fitness_b(p)
+
+    def share_fitness(self, p_a: float):
+        """(fitness A, fitness B) at group A's share, or None at every share
+        when the profile does not apply; a gap source for
+        ``scan_stable_shares``."""
+        if not self.applies:
+            return None
+        return float(self.fitness_a(p_a)), float(self.fitness_b(p_a))
+
+
+@dataclass(frozen=True)
+class CentipedeReport(StoppingReport):
+    spec: CentipedeSpec
+    condition_holds: bool
+    analogy_minimizer_x: float
+    p_star_b: float | None
+
+    @property
+    def applies(self) -> bool:
+        return self.condition_holds and self.maximal_continuation_verified
 
 
 def centipede_analysis(spec: CentipedeSpec, tol: float = 1e-9) -> CentipedeReport:
@@ -723,38 +739,26 @@ def centipede_analysis(spec: CentipedeSpec, tol: float = 1e-9) -> CentipedeRepor
     otherwise the stability claims do not apply and p_star_b is None.
     """
     game = _centipede_ladder(spec)
-    x = 2.0 / spec.K
+    x = _pooled_rate(spec.K)
     verified, margin = _verify_profile(game, x, tol)
-    m = _match_payoffs(game)
     p_star = None
     if spec.sustainable and verified:
         p_star = 1.0 - spec.l / (spec.g * (spec.K - 2))
     return CentipedeReport(
-        spec=spec,
-        condition_holds=spec.sustainable,
         maximal_continuation_verified=verified,
         binding_margin=margin,
-        analogy_minimizer_x=_pooled_rate_minimizer(spec.K),
-        match_payoffs=m,
+        match_payoffs=_match_payoffs(game),
+        spec=spec,
+        condition_holds=spec.sustainable,
+        analogy_minimizer_x=x,
         p_star_b=p_star,
     )
 
 
 @dataclass(frozen=True)
-class DollarReport:
+class DollarReport(StoppingReport):
     K: int
-    maximal_continuation_verified: bool
-    binding_margin: float
-    match_payoffs: np.ndarray
     dominance_flag: bool
-
-    def fitness_a(self, p):
-        p = np.asarray(p, dtype=float)
-        return p * self.match_payoffs[0, 0] + (1.0 - p) * self.match_payoffs[0, 1]
-
-    def fitness_b(self, p):
-        p = np.asarray(p, dtype=float)
-        return p * self.match_payoffs[1, 0] + (1.0 - p) * self.match_payoffs[1, 1]
 
 
 def dollar_analysis(K: int, tol: float = 1e-9) -> DollarReport:
@@ -768,30 +772,10 @@ def dollar_analysis(K: int, tol: float = 1e-9) -> DollarReport:
     if K < 6 or K % 2 != 0:
         raise ValueError("K must be an even integer >= 6")
     game = _dollar_ladder(K)
-    verified, margin = _verify_profile(game, 2.0 / K, tol)
+    verified, margin = _verify_profile(game, _pooled_rate(K), tol)
     m = _match_payoffs(game)
-    report = DollarReport(K, verified, margin, m, False)
-    grid = np.linspace(0.0, 1.0, 101)
-    dominance = bool(np.all(report.fitness_a(grid) > report.fitness_b(grid)))
-    return DollarReport(K, verified, margin, m, dominance)
-
-
-def make_centipede_selector(spec: CentipedeSpec):
-    """Share-to-fitness map for the maximal-continuation profile, usable as a
-    stable-share selector.  Returns None at every share when the profile
-    does not verify."""
-    report = centipede_analysis(spec)
-    def select(p_a: float):
-        if not (report.condition_holds and report.maximal_continuation_verified):
-            return None
-        return float(report.fitness_a(p_a)), float(report.fitness_b(p_a))
-    return select
-
-
-def make_dollar_selector(K: int):
-    report = dollar_analysis(K)
-    def select(p_a: float):
-        if not report.maximal_continuation_verified:
-            return None
-        return float(report.fitness_a(p_a)), float(report.fitness_b(p_a))
-    return select
+    # both fitness lines are affine in the share, so group A is ahead at
+    # every share exactly when it is ahead at both ends
+    dominance = bool(m[0, 0] > m[1, 0] and m[0, 1] > m[1, 1])
+    return DollarReport(maximal_continuation_verified=verified, binding_margin=margin,
+                        match_payoffs=m, K=K, dominance_flag=dominance)

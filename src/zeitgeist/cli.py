@@ -289,7 +289,7 @@ def cmd_build_two_situation(args) -> int:
 def cmd_centipede(args) -> int:
     spec = catalog.CentipedeSpec(args.k, args.g, args.ell)
     rep = catalog.centipede_analysis(spec)
-    scan = scan_stable_shares(catalog.make_centipede_selector(spec))
+    scan = scan_stable_shares(rep.share_fitness)
     lines = [f"condition (K-2)g > 2l holds: {rep.condition_holds}",
              f"maximal-continuation profile verified: "
              f"{rep.maximal_continuation_verified}",

@@ -29,6 +29,11 @@ def tie_tolerance(values: np.ndarray, tol: float = TIE_TOL) -> float:
     return tol * max(1.0, m)
 
 
+def best_reply_mask(values: np.ndarray, tol: float = TIE_TOL) -> np.ndarray:
+    """Entries within tie tolerance of the maximum of one payoff column."""
+    return values >= values.max() - tie_tolerance(values, tol)
+
+
 def validate_probability_row(row: np.ndarray, where: str, tol: float = 1e-9) -> None:
     if np.any(row < -tol):
         raise ValueError(f"{where}: negative probability entry")
@@ -46,16 +51,15 @@ class DenseKernel:
 
     __slots__ = ("table", "_payoff_cache")
 
-    def __init__(self, table: np.ndarray, validate: bool = True):
+    def __init__(self, table: np.ndarray):
         table = np.asarray(table, dtype=float)
         if table.ndim != 3 or table.shape[0] != table.shape[1]:
             raise ValueError("kernel table must have shape (n, n, n_consequences)")
-        if validate:
-            sums = table.sum(axis=2)
-            if np.any(table < -1e-9) or np.any(np.abs(sums - 1.0) > 1e-9):
-                bad = np.argwhere(np.abs(sums - 1.0) > 1e-9)
-                loc = tuple(bad[0]) if len(bad) else "negative entry"
-                raise ValueError(f"kernel rows must be probability vectors (bad row at {loc})")
+        sums = table.sum(axis=2)
+        if np.any(table < -1e-9) or np.any(np.abs(sums - 1.0) > 1e-9):
+            bad = np.argwhere(np.abs(sums - 1.0) > 1e-9)
+            loc = tuple(bad[0]) if len(bad) else "negative entry"
+            raise ValueError(f"kernel rows must be probability vectors (bad row at {loc})")
         self.table = table
         self._payoff_cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -201,7 +205,6 @@ class StageEnv:
         if self.monitoring.rows.shape[0] != len(self.strategies):
             raise ValueError("monitoring rows must align with strategies")
         self.meta = dict(meta or {})
-        self._payoff_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # -- index helpers -------------------------------------------------
     @property
@@ -240,11 +243,7 @@ class StageEnv:
         """Expected-utility matrix ``U[i, j]`` in situation ``G`` (objective kernel by default)."""
         gi = self.situation_index(G)
         if kernel is None:
-            cached = self._payoff_cache.get((gi, 0))
-            if cached is None:
-                cached = self.kernels[gi].payoff_matrix(self.utility)
-                self._payoff_cache[(gi, 0)] = cached
-            return cached
+            kernel = self.kernels[gi]
         return kernel.payoff_matrix(self.utility)
 
 
@@ -261,14 +260,11 @@ def expected_payoff(env: StageEnv, G, a_i, a_minus, kernel=None) -> float:
 def best_responses(env: StageEnv, G, a_minus, kernel=None, tol: float = TIE_TOL) -> list[str]:
     """All strategies within tie tolerance of the best reply to ``a_minus``."""
     j = env.strategy_index(a_minus)
-    col = env.payoff_matrix(G, kernel)[:, j]
-    cut = col.max() - tie_tolerance(col, tol)
-    return [env.strategies[i] for i in np.flatnonzero(col >= cut)]
+    return [env.strategies[i] for i in best_response_indices(env, G, j, kernel, tol)]
 
 
 def best_response_indices(env: StageEnv, G, j: int, kernel=None, tol: float = TIE_TOL) -> np.ndarray:
-    col = env.payoff_matrix(G, kernel)[:, j]
-    return np.flatnonzero(col >= col.max() - tie_tolerance(col, tol))
+    return np.flatnonzero(best_reply_mask(env.payoff_matrix(G, kernel)[:, j], tol))
 
 
 def min_tiebreak_best_response(env: StageEnv, G, a_i, tol: float = TIE_TOL) -> str:
@@ -309,17 +305,12 @@ def symmetric_nash(env: StageEnv, G, tol: float = TIE_TOL) -> SymmetricNashResul
     An empty result is legal (flagged via ``exists``), not an error.
     """
     U = env.payoff_matrix(G)
-    eq = []
-    for a in range(env.n_strategies):
-        col = U[:, a]
-        if U[a, a] >= col.max() - tie_tolerance(col, tol):
-            eq.append(a)
+    eq = [a for a in range(env.n_strategies) if best_reply_mask(U[:, a], tol)[a]]
     if not eq:
         return SymmetricNashResult((), (), None)
     vals = np.array([U[a, a] for a in eq])
-    v = float(vals.max())
-    best = tuple(env.strategies[a] for a, x in zip(eq, vals) if x >= v - tie_tolerance(vals, tol))
-    return SymmetricNashResult(tuple(env.strategies[a] for a in eq), best, v)
+    best = tuple(env.strategies[a] for a, keep in zip(eq, best_reply_mask(vals, tol)) if keep)
+    return SymmetricNashResult(tuple(env.strategies[a] for a in eq), best, float(vals.max()))
 
 
 @dataclass(frozen=True)
@@ -338,8 +329,7 @@ def stackelberg(env: StageEnv, G, tol: float = TIE_TOL) -> StackelbergResult:
     U = env.payoff_matrix(G)
     followers = [min_tiebreak_best_response(env, G, a, tol=tol) for a in env.strategies]
     values = np.array([U[i, env.strategy_index(f)] for i, f in enumerate(followers)])
-    cut = values.max() - tie_tolerance(values, tol)
-    winners = np.flatnonzero(values >= cut)
+    winners = np.flatnonzero(best_reply_mask(values, tol))
     lead = int(winners[0])
     return StackelbergResult(env.strategies[lead], float(values[lead]),
                              followers[lead], unique=len(winners) == 1)

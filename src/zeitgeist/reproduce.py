@@ -110,7 +110,7 @@ def _check_centipede() -> CheckRow:
     t0 = time.time()
     spec = catalog.CentipedeSpec(10, 1.0, 2.0)
     rep = catalog.centipede_analysis(spec)
-    scan = scan_stable_shares(catalog.make_centipede_selector(spec))
+    scan = scan_stable_shares(rep.share_fitness)
     p_b = 1.0 - scan.thresholds[0] if scan.thresholds else float("nan")
     got = (rep.maximal_continuation_verified, rep.analogy_minimizer_x, p_b)
     ok = (rep.maximal_continuation_verified

@@ -156,18 +156,18 @@ class StableSharesResult:
 
 
 def first_ez_selector(env: StageEnv, model_a, model_b, q=None,
-                      tol: float = 1e-9, pick: int = 0):
-    """Fitness pair of the ``pick``-th state in enumeration order, as a
-    function of group A's share; None when no state exists.  The
-    situation problems are built once, here, and solved at every share."""
+                      tol: float = 1e-9):
+    """Fitness pair of the first state in enumeration order, as a function
+    of group A's share; None when no state exists.  The situation problems
+    are built once, here, and solved at every share."""
     problems = [SituationProblem(env, model_a, model_b, G, tol)
                 for G in env.situations]
 
     def select(p_a: float):
         states = solve_states(problems, (p_a, 1.0 - p_a))
-        if len(states) <= pick:
+        if not states:
             return None
-        f = fitness(states[pick], env, q)
+        f = fitness(states[0], env, q)
         return float(f[0]), float(f[1])
     return select
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from zeitgeist import catalog
 from zeitgeist.games import StageEnv, stackelberg, symmetric_nash
@@ -205,6 +206,27 @@ def test_stopping_game_without_growth_has_no_threshold():
     report = catalog.centipede_analysis(spec)
     assert not report.condition_holds
     assert report.p_star_b is None
+
+
+def test_share_fitness_is_none_where_the_profile_does_not_apply():
+    unverified = catalog.centipede_analysis(catalog.CentipedeSpec(4, 1.0, 2.0))
+    assert not unverified.maximal_continuation_verified
+    # growth exactly at the threshold: the profile verifies with zero
+    # margin, but the growth condition is strict
+    boundary = catalog.centipede_analysis(catalog.CentipedeSpec(4, 1.0, 1.0))
+    assert boundary.maximal_continuation_verified and not boundary.condition_holds
+    for report in (unverified, boundary):
+        assert all(report.share_fitness(p) is None for p in np.linspace(0.0, 1.0, 101))
+
+
+def test_pooled_rate_minimizes_the_pooled_stop_divergence():
+    for K in range(4, 42, 2):
+        report = catalog.centipede_analysis(catalog.CentipedeSpec(K, 1.0, 0.5))
+        res = minimize_scalar(
+            lambda x: -(K / 2.0 - 1.0) * np.log1p(-x) - np.log(x),
+            bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+        assert res.success
+        assert report.analogy_minimizer_x == pytest.approx(res.x, abs=1e-8)
 
 
 def test_dollar_variant_validation_and_dominance():

@@ -146,14 +146,14 @@ def test_scan_matches_stopping_game_closed_form():
         report = catalog.centipede_analysis(spec)
         if not report.maximal_continuation_verified:
             continue
-        res = scan_stable_shares(catalog.make_centipede_selector(spec))
+        res = scan_stable_shares(report.share_fitness)
         assert len(res.thresholds) == 1
         assert res.thresholds[0] == pytest.approx(1.0 - report.p_star_b, abs=1e-8)
         checked += 1
 
 
 def test_dollar_variant_never_crosses():
-    res = scan_stable_shares(catalog.make_dollar_selector(10))
+    res = scan_stable_shares(catalog.dollar_analysis(10).share_fitness)
     assert res.thresholds == ()
     assert np.all(res.gaps > 0.0)
 
