@@ -160,9 +160,6 @@ class GaussianGridKernel:
             cached = self._payoff_cache = (utility, pay)
         return cached[1]
 
-    def opponent_independent(self, tol: float = 1e-9) -> bool:
-        return abs(self.slope) <= tol
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GaussianGridKernel)
                 and self.slope == other.slope

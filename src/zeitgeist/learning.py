@@ -20,9 +20,9 @@ inside each period, and index ties broken low.
 The models' likelihood and payoff tables are built once per run, since
 they do not depend on the situation; only the true kernel's cumulative
 consequence table is built per situation, and consequences are drawn from
-it by inverse CDF.  Posteriors are normalized with the row-wise
-``logsumexp`` below, which repeats scipy's arithmetic without its
-per-call overhead.
+it by inverse CDF.  Posteriors are normalized once a period, after the
+update, with the plain row-wise ``logsumexp`` below; the action step reads
+them as they are.
 """
 
 from __future__ import annotations
@@ -39,27 +39,15 @@ from .models import Model
 def logsumexp(a: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp of a 2-d array, as an (n, 1) column.
 
-    The arithmetic is that of ``scipy.special.logsumexp`` since scipy 1.15
-    (the floor in ``pyproject.toml``): the tied row maxima are counted and
-    set aside, the rest are summed after the shift, so the result is
-    bit-equal to ``logsumexp(a, axis=1, keepdims=True)`` for finite or
-    ``-inf`` entries.  Older scipy computes ``log(sum(exp(a - max))) + max``,
-    which differs in the low bits.  An all ``-inf`` row gives ``-inf``.
+    Each row is shifted by its max before exponentiating; an all ``-inf``
+    row is shifted by 0 instead (no ``inf - inf`` NaN) and gives ``-inf``.
     """
-    # the max and the tie count are exact in any order, so they run down the
-    # columns of a transposed copy, across all rows at once; only the sum
-    # below must keep scipy's row order
-    cols = a.T.copy()
-    a_max = cols.max(axis=0)
-    m = (cols == a_max).sum(axis=0, dtype=a.dtype)[:, None]
-    a_max = a_max[:, None]
-    top = a == a_max
-    # an all -inf row is shifted by 0 instead of -inf, so no inf - inf NaN
-    e = np.exp(a - np.where(np.isfinite(a_max), a_max, 0.0))
-    np.copyto(e, 0.0, where=top)
-    s = e.sum(axis=1, keepdims=True)
-    s /= m
-    return np.log1p(s) + np.log(m) + a_max
+    # the max is exact in any order; down the columns of a transposed copy
+    # it runs across all rows at once, several times faster on short rows
+    a_max = a.T.copy().max(axis=0)[:, None]
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - shift).sum(axis=1, keepdims=True)) + shift
 
 
 @dataclass(frozen=True)
@@ -308,7 +296,7 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
         act = np.empty((n_all, 2), dtype=int)
         for g in range(2):
             ll, lm, pay = per_model[g]
-            post = np.exp(log_post[g] - logsumexp(log_post[g]))
+            post = np.exp(log_post[g])
             sl = slice(offsets[g], offsets[g] + sizes[g])
             for og in (0, 1):
                 myopic = np.argmax(post @ pay[og], axis=1)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import DenseKernel, StageEnv, min_tiebreak_best_response, stackelberg
+from .games import (DenseKernel, StageEnv, best_response_indices,
+                    min_tiebreak_best_response, stackelberg)
 from .inference import kl_divergence
 
 AUDIT_MARGIN = 1e-6
@@ -202,7 +203,6 @@ def check_identifiability(env: StageEnv, tol: float = 1e-12) -> IdentifiabilityR
                         sit_wit.append((env.situations[g1], env.situations[g2],
                                         env.strategies[i], env.strategies[j]))
 
-    from .games import best_response_indices  # local import keeps module load light
     stack_wit = []
     leads = [stackelberg(env, G) for G in env.situations]
     for g1, G1 in enumerate(env.situations):

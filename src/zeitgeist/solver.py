@@ -79,13 +79,6 @@ class Zeitgeist:
     def mixture_supported(self) -> bool:
         return any(o.mixture_supported for o in self.outcomes)
 
-    def play_labels(self, env: StageEnv) -> list[dict]:
-        rows = []
-        for o in self.outcomes:
-            rows.append({"situation": o.situation, **{
-                k: env.strategies[a] for k, a in zip(QUAD_KEYS, o.quadruple)}})
-        return rows
-
 
 def _conjectured_columns(model, group: int, member_idx: np.ndarray,
                          default_own: int, default_cross: int) -> tuple[np.ndarray, np.ndarray]:

@@ -219,22 +219,14 @@ def scan_stable_shares(gap_source, grid=None,
 
 
 def stable_shares(env: StageEnv, model_a, model_b, q=None, grid_n: int = 101,
-                  tol: float = 1e-9, ez_selector="lexicographic-first") -> StableSharesResult:
-    """Stable group-A shares for two finite models over a uniform share grid.
-
-    ``ez_selector`` is either the name "lexicographic-first" (track the first
-    state in enumeration order) or a callable mapping a group-A share to a
-    (fitness A, fitness B) pair or None.
-    """
+                  tol: float = 1e-9) -> StableSharesResult:
+    """Stable group-A shares for two finite models over a uniform share grid,
+    tracking the first state in enumeration order (``first_ez_selector``);
+    other gap sources go to ``scan_stable_shares`` directly."""
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
-    if callable(ez_selector):
-        source = ez_selector
-    elif ez_selector == "lexicographic-first":
-        source = first_ez_selector(env, model_a, model_b, q)
-    else:
-        raise ValueError(f"unknown selector {ez_selector!r}")
-    return scan_stable_shares(source, np.linspace(0.0, 1.0, grid_n), tol)
+    return scan_stable_shares(first_ez_selector(env, model_a, model_b, q),
+                              np.linspace(0.0, 1.0, grid_n), tol)
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,7 @@ def test_criterion_5_stopping_games():
         assert np.all(rep.fitness_a(grid) > rep.fitness_b(grid))
     elapsed = time.perf_counter() - t0
     print(f"x=0.2, p*={report.p_star_b}, lattice monotone, dollar dominant; "
-          f"{elapsed:.1f}s")
+          f"{elapsed:.3f}s")
     assert elapsed < 5.0
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import coordination_env, random_env, random_model
 from zeitgeist import catalog, config
@@ -121,6 +122,76 @@ def test_sim_round_trip_with_all_options(tmp_path):
     assert np.array_equal(back.prior_b, cfg.prior_b)
     assert back.q == cfg.q
     assert back.situation_period == cfg.situation_period
+
+
+_UNIT = st.floats(0.0, 1.0)
+_MASSES = st.lists(st.floats(1e-12, 1.0), min_size=1, max_size=6)
+_SIM_CONFIGS = st.builds(
+    SimConfig,
+    n_agents=st.integers(4, 10_000),
+    shares=_UNIT.map(lambda a: (a, 1.0 - a)),
+    horizon=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.floats(0.0, 1.0, exclude_max=True),
+    policy=st.builds(Policy, burn_in=st.integers(0, 100), eps0=_UNIT,
+                     kappa=st.floats(1e-3, 1e6)),
+    prior_a=st.none() | _MASSES.map(np.array),
+    prior_b=st.none() | _MASSES.map(np.array),
+    q=st.none() | _MASSES.map(tuple),
+    situation_period=st.none() | st.integers(1, 1000))
+
+
+def _same_array(x, y):
+    """Same shape, dtype and bytes; None matches only None."""
+    if x is None or y is None:
+        return x is y
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(cfg=_SIM_CONFIGS, seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(2, 3), st.integers(2, 4), st.integers(1, 2)),
+       noise=st.floats(0.0, 1.0, exclude_max=True), n_params=st.integers(1, 3))
+def test_save_load_round_trip_is_bit_exact(tmp_path_factory, cfg, seed, shape,
+                                           noise, n_params):
+    path = tmp_path_factory.mktemp("round_trip") / "doc.yaml"
+
+    config.save_sim(cfg, path)
+    back = config.load_sim(path)
+    for name in ("n_agents", "shares", "horizon", "seed", "tau", "policy", "q",
+                 "situation_period"):
+        assert getattr(back, name) == getattr(cfg, name), name
+    assert _same_array(back.prior_a, cfg.prior_a)
+    assert _same_array(back.prior_b, cfg.prior_b)
+
+    rng = np.random.default_rng(seed)
+    n, n_y, n_sit = shape
+    base = random_env(rng, n, n_y, n_sit)
+    env = StageEnv(strategies=base.strategies, consequences=base.consequences,
+                   situations=base.situations, kernels=list(base.kernels),
+                   utility=base.utility,
+                   monitoring=MonitoringStructure.noisy(base.strategies, noise))
+    config.save_env(env, path)
+    env_back = config.load_env(path)
+    assert env_back.strategies == env.strategies
+    assert env_back.consequences == env.consequences
+    assert env_back.situations == env.situations
+    assert _same_array(env_back.utility, env.utility)
+    for k1, k2 in zip(env_back.kernels, env.kernels, strict=True):
+        assert _same_array(k1.table, k2.table)
+    assert env_back.monitoring.signals == env.monitoring.signals
+    assert _same_array(env_back.monitoring.rows, env.monitoring.rows)
+
+    model = random_model(rng, env, n_params, "m")
+    config.save_model(model, path)
+    model_back = config.load_model(path)
+    assert model_back.label == model.label
+    assert model_back.kernel_labels == model.kernel_labels
+    assert not model_back.strategic_certainty_form
+    for p1, p2 in zip(model_back.params, model.params, strict=True):
+        assert (p1.conj_a, p1.kernel_index, p1.label) == \
+            (p2.conj_a, p2.kernel_index, p2.label)
+        assert _same_array(p1.kernel.table, p2.kernel.table)
 
 
 def test_sim_defaults(tmp_path):

@@ -163,8 +163,6 @@ def test_stable_shares_validation():
     model = minimal_correct_model(env)
     with pytest.raises(ValueError):
         stable_shares(env, model, model, grid_n=5)
-    with pytest.raises(ValueError):
-        stable_shares(env, model, model, ez_selector="nonsense")
 
 
 def test_stable_shares_flat_gap_has_no_threshold():
