@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .games import DenseKernel, StageEnv, best_reply_mask, tie_tolerance
 from .models import Model, _certainty_form_model, singleton_model
@@ -129,6 +128,7 @@ class GaussianGridKernel:
         positive mass instead of rounding to zero; every divergence against
         another kernel on the same axis then stays finite.
         """
+        from scipy.special import ndtr   # slow to import, needed only here
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         z = (self.edges[None, :] - mus[:, None]) / self.sigma
         lower = ndtr(z)
@@ -191,7 +191,9 @@ def build_cournot_discrete(spec: CournotSpec, quantity_grid, price_bins: int,
         raise ValueError(f"quantity grid must cover [0, {monopoly:g}]")
     if noise_sd <= 0:
         raise ValueError("noise_sd must be positive")
-    bins = max(int(price_bins), 2)
+    if price_bins < 2:
+        raise ValueError(f"price_bins must be at least 2, got {price_bins}")
+    bins = int(price_bins)
 
     qstep = float(np.min(np.diff(q)))
     drift = spec.r_hat - spec.r

@@ -184,10 +184,11 @@ def run_all(only=None, example_env=None) -> list[CheckRow]:
     return rows
 
 
-def render_table(rows) -> str:
+def render_table(rows: list[dict]) -> str:
+    """Pass/fail table of the rows ``rows_to_dicts`` returns."""
     headers = ("check", "source", "status", "seconds", "expected", "actual")
-    cells = [(r.name, r.source, "pass" if r.ok else "FAIL",
-              f"{r.seconds:.3f}", r.expected, r.actual) for r in rows]
+    cells = [(r["check"], r["source"], "pass" if r["ok"] else "FAIL",
+              f"{r['seconds']:.3f}", r["expected"], r["actual"]) for r in rows]
     widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
     lines = [" | ".join(h.ljust(w) for h, w in zip(headers, widths)),
@@ -195,9 +196,9 @@ def render_table(rows) -> str:
     for c in cells:
         lines.append(" | ".join(v.ljust(w) for v, w in zip(c, widths)))
     lines.append("")
-    n_fail = sum(not r.ok for r in rows)
+    n_fail = sum(not r["ok"] for r in rows)
     lines.append(f"{len(rows) - n_fail}/{len(rows)} checks passed")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def rows_to_dicts(rows) -> list[dict]:

@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .games import StageEnv, as_weights, tie_tolerance
 from .inference import (ARGMIN_TOL, DataContext, conjecture_columns,
@@ -35,6 +34,16 @@ QUAD_KEYS = ("a_AA", "a_AB", "a_BA", "a_BB")
 MAX_COMPOSED = 200_000
 
 SUPPORT_TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call.
+
+    Loading scipy.optimize takes about half a second, and only a few per
+    cent of situation solves reach an LP.  ``perfbench/spans.py`` wraps
+    this module-level name to count and time the LP calls."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 def _require_compatible(env: StageEnv, model, who: str) -> None:

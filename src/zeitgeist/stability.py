@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .games import StageEnv, as_weights, best_response_indices, symmetric_nash
 from .solver import (SituationProblem, Zeitgeist, conditional_fitness,
@@ -288,6 +287,7 @@ def singleton_fragility_check(env: StageEnv, tol: float = 1e-9,
 
     finite_rows = [v for v in points if np.all(np.isfinite(v))]
     if finite_rows:
+        from scipy.optimize import linprog   # slow to import, rarely needed
         # vars (q_1..q_m, t): max t  s.t.  q.(v_rule - v_ne) + t <= 0
         a_ub = np.hstack([np.array(finite_rows) - nash_vals[None, :],
                           np.ones((len(finite_rows), 1))])

@@ -1,10 +1,13 @@
 import filecmp
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
 from conftest import coordination_env, mismatch_env
-from zeitgeist import cli, config
+from zeitgeist import catalog, cli, config
 from zeitgeist.models import minimal_correct_model
 
 
@@ -18,6 +21,11 @@ def _save_pair(env, tmp_path, stem="game"):
 
 def _read_manifest(out_dir):
     with open(out_dir / "manifest.yaml") as fh:
+        return yaml.safe_load(fh)
+
+
+def _read_yaml(path):
+    with open(path) as fh:
         return yaml.safe_load(fh)
 
 
@@ -210,3 +218,139 @@ def test_learn_reports_posterior_restarts(tmp_path, capsys):
             in capsys.readouterr().out)
     with open(out / "comparison.yaml") as fh:
         assert yaml.safe_load(fh)["restarts"] == [counts["A"], counts["B"]]
+
+
+def test_separate_writes_report(tmp_path, capsys):
+    env_path = tmp_path / "two_env.yaml"
+    config.save_env(catalog.build_two_situation_game(), env_path)
+    out = tmp_path / "sep"
+    assert cli.main(["separate", "--env", str(env_path), "--out", str(out)]) == 0
+    man = _read_manifest(out)
+    assert man["outputs"] == ["separate.txt", "separate.yaml"]
+    assert man["config_paths"] == [str(env_path)]
+    doc = _read_yaml(out / "separate.yaml")
+    assert list(doc) == ["separable", "v_ne", "candidate_points", "rules",
+                         "separating_q", "margin", "lp_margin", "eps_tilt"]
+    assert doc["separable"] is True
+    assert len(doc["rules"]) == 27
+    assert doc["separating_q"] == pytest.approx([0.7, 0.3])
+    assert "reaction rules checked: 27" in capsys.readouterr().out
+
+
+def test_dollar_writes_report(tmp_path, capsys):
+    out = tmp_path / "dollar"
+    assert cli.main(["dollar", "--k", "10", "--out", str(out)]) == 0
+    assert _read_manifest(out)["outputs"] == ["report.txt", "report.yaml"]
+    doc = _read_yaml(out / "report.yaml")
+    assert list(doc) == ["K", "verified", "binding_margin", "match_payoffs",
+                         "dominance"]
+    assert doc["K"] == 10 and doc["verified"] is True
+    assert doc["dominance"] is True
+    assert doc["match_payoffs"] == [[0.5, 9.5], [0.0, 5.0]]
+    assert ("coarse group dominant at every share: True"
+            in (out / "report.txt").read_text())
+
+
+def test_centipede_writes_report(tmp_path, capsys):
+    out = tmp_path / "centipede"
+    assert cli.main(["centipede", "--k", "10", "--g", "1", "--ell", "2",
+                     "--out", str(out)]) == 0
+    assert _read_manifest(out)["outputs"] == ["report.txt", "report.yaml"]
+    doc = _read_yaml(out / "report.yaml")
+    assert list(doc) == ["spec", "condition_holds", "verified",
+                         "binding_margin", "pooled_rate", "match_payoffs",
+                         "p_star_b", "scan_thresholds"]
+    assert doc["spec"] == {"K": 10, "g": 1.0, "l": 2.0}
+    assert doc["condition_holds"] is True and doc["verified"] is True
+    assert doc["p_star_b"] == 0.75
+    assert doc["scan_thresholds"] == [pytest.approx(0.25)]
+    assert (out / "report.txt").read_text() == capsys.readouterr().out
+
+
+def test_classify_writes_report(tmp_path, capsys):
+    env_path, model_path = _save_pair(coordination_env(), tmp_path)
+    out = tmp_path / "cls"
+    assert cli.main(["classify", "--env", env_path, "--model-a", model_path,
+                     "--model-b", model_path, "--eps-list", "0.1,0.01",
+                     "--out", str(out)]) == 0
+    man = _read_manifest(out)
+    assert man["outputs"] == ["classify.txt", "classify.yaml"]
+    assert man["config_paths"] == [env_path, model_path, model_path]
+    doc = _read_yaml(out / "classify.yaml")
+    assert list(doc) == ["verdict", "q", "evidence"]
+    assert doc["verdict"] == "Ambiguous"
+    assert [ev["eps"] for ev in doc["evidence"]] == [0.1, 0.01]
+    assert list(doc["evidence"][0]) == ["eps", "shares", "counts", "ez_count",
+                                        "empty", "min_gap", "max_gap"]
+    assert doc["evidence"][1]["shares"] == [0.99, 0.01]
+
+
+def test_build_investment_reports_reversal(tmp_path, capsys):
+    out = tmp_path / "inv"
+    assert cli.main(["build-investment", "--out", str(out)]) == 0
+    assert _read_manifest(out)["outputs"] == [
+        "env.yaml", "model_a.yaml", "model_b.yaml", "report.txt", "report.yaml"]
+    doc = _read_yaml(out / "report.yaml")
+    assert list(doc) == ["spec", "b_star", "dominance_ok", "entry_play_ok",
+                         "flags", "reversal", "play_resident_a",
+                         "play_resident_b"]
+    assert doc["b_star"] == {"s11": 7.0, "s12": 5.0, "s22": 4.0}
+    assert doc["dominance_ok"] is True and doc["entry_play_ok"] is True
+    assert doc["reversal"] is True and doc["flags"] == []
+    assert doc["play_resident_a"] == [[0, 0, 1, 1]]
+    assert doc["play_resident_b"] == [[0, 0, 0, 1]]
+
+
+def test_build_two_situation_identifies_situations(tmp_path, capsys):
+    out = tmp_path / "two"
+    assert cli.main(["build-two-situation", "--out", str(out)]) == 0
+    assert _read_manifest(out)["outputs"] == ["env.yaml", "report.txt",
+                                              "report.yaml"]
+    doc = _read_yaml(out / "report.yaml")
+    assert list(doc) == ["situations", "situation_id", "stackelberg_id"]
+    assert doc["situation_id"] is True and doc["stackelberg_id"] is True
+    assert [(s["situation"], s["nash"], s["commitment"])
+            for s in doc["situations"]] == [("G1", ["a2"], "a2"),
+                                            ("G2", ["a3"], "a1")]
+    assert list(config.load_env(out / "env.yaml").situations) == ["G1", "G2"]
+
+
+@pytest.mark.parametrize("flag, value", [("--window", "0"),
+                                         ("--window", "500"),
+                                         ("--window", "-3"),
+                                         ("--every", "0")])
+def test_learn_rejects_bad_window_before_running(tmp_path, capsys, flag, value):
+    env_path, model_path = _save_pair(coordination_env(), tmp_path)
+    sim_path = tmp_path / "sim.yaml"
+    sim_path.write_text("kind: sim\nn_agents: 16\nshares: [0.5, 0.5]\n"
+                        "horizon: 80\nseed: 5\n")
+    out = tmp_path / "o"
+    rc = cli.main(["learn", "--env", env_path, "--model-a", model_path,
+                   "--model-b", model_path, "--sim", str(sim_path),
+                   flag, value, "--out", str(out)])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_cournot_rejects_one_price_bin(tmp_path, capsys):
+    out = tmp_path / "cournot"
+    rc = cli.main(["build-cournot", "--grid", "41", "--price-bins", "1",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "price_bins" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_defers_scipy_solvers():
+    # only a few situation solves reach an LP; loading scipy.optimize and
+    # scipy.special up front would triple every command's start-up time
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, zeitgeist, zeitgeist.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
