@@ -91,23 +91,58 @@ def cournot_closed_form(spec: CournotSpec) -> CournotClosedForm:
 # duopoly discretization
 
 
+class MassBank:
+    """Bin axis and noise scale shared by a build's kernels, so that a row
+    depends only on its mean.  Inside ``with bank:`` rows are memoized on
+    their exact float mean, keeping their bits; outside, every request
+    computes them."""
+
+    def __init__(self, edges, sigma: float):
+        self.edges = np.asarray(edges, dtype=float)
+        self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
+        self.sigma = float(sigma)
+        self._memo: dict[float, np.ndarray] | None = None
+
+    def __enter__(self) -> MassBank:
+        self._memo = {}
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._memo = None
+
+    def __len__(self) -> int:
+        return 0 if self._memo is None else len(self._memo)
+
+    def rows(self, mus, compute) -> np.ndarray:
+        """Rows for the means ``mus``; one ``compute`` call fills the misses."""
+        memo = self._memo
+        if memo is None:
+            return compute(mus)
+        keys = np.atleast_1d(np.asarray(mus, dtype=float)).tolist()
+        missing = [mu for mu in dict.fromkeys(keys) if mu not in memo]
+        if missing:
+            memo.update(zip(missing, compute(np.array(missing))))
+        return np.array([memo[mu] for mu in keys])
+
+
 class GaussianGridKernel:
     """Lazy consequence kernel for a price that is linear in the quantity sum.
 
     The price at profile (i, j) is normal with mean
     ``intercept - slope*(q_i + q_j)`` and a shared standard deviation,
     discretized onto a common equal-width bin axis and renormalized.  Rows
-    are computed on demand; the (n, n, bins) table is never stored.
+    come from a ``MassBank`` (a private one unless ``bank`` is given), which
+    memoizes them for one ``cournot_discrete_ez`` call and otherwise
+    computes them on demand; the (n, n, bins) table is never stored.
     """
 
     def __init__(self, quantities, slope: float, intercept: float,
-                 sigma: float, edges):
+                 sigma: float | None = None, edges=None, *,
+                 bank: MassBank | None = None):
         self.quantities = np.asarray(quantities, dtype=float)
         self.slope = float(slope)
         self.intercept = float(intercept)
-        self.sigma = float(sigma)
-        self.edges = np.asarray(edges, dtype=float)
-        self.centers = 0.5 * (self.edges[:-1] + self.edges[1:])
+        self.bank = bank if bank is not None else MassBank(edges, sigma)
         self._payoff_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -116,7 +151,7 @@ class GaussianGridKernel:
 
     @property
     def n_consequences(self) -> int:
-        return len(self.centers)
+        return len(self.bank.centers)
 
     def mean(self, i: int, j: int) -> float:
         return self.intercept - self.slope * (self.quantities[i] + self.quantities[j])
@@ -130,7 +165,7 @@ class GaussianGridKernel:
         """
         from scipy.special import ndtr   # slow to import, needed only here
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        z = (self.edges[None, :] - mus[:, None]) / self.sigma
+        z = (self.bank.edges[None, :] - mus[:, None]) / self.bank.sigma
         lower = ndtr(z)
         upper = ndtr(-z)
         left = lower[:, 1:] - lower[:, :-1]
@@ -140,14 +175,14 @@ class GaussianGridKernel:
         return mass / mass.sum(axis=1, keepdims=True)
 
     def binned_mean(self, mus) -> np.ndarray:
-        return self.masses(mus) @ self.centers
+        return self.bank.rows(mus, self.masses) @ self.bank.centers
 
     def row(self, i: int, j: int) -> np.ndarray:
-        return self.masses(self.mean(i, j))[0]
+        return self.bank.rows(self.mean(i, j), self.masses)[0]
 
     def rows_for_own(self, i: int) -> np.ndarray:
         mus = self.intercept - self.slope * (self.quantities[i] + self.quantities)
-        return self.masses(mus)
+        return self.bank.rows(mus, self.masses)
 
     def payoff_matrix(self, utility: np.ndarray) -> np.ndarray:
         # keyed on the utility array itself, as in DenseKernel.payoff_matrix
@@ -164,8 +199,8 @@ class GaussianGridKernel:
         return (isinstance(other, GaussianGridKernel)
                 and self.slope == other.slope
                 and self.intercept == other.intercept
-                and self.sigma == other.sigma
-                and np.array_equal(self.edges, other.edges)
+                and self.bank.sigma == other.bank.sigma
+                and np.array_equal(self.bank.edges, other.bank.edges)
                 and np.array_equal(self.quantities, other.quantities))
 
     def __hash__(self):
@@ -224,11 +259,12 @@ def build_cournot_discrete(spec: CournotSpec, quantity_grid, price_bins: int,
             f"price bins are coarse relative to the noise scale "
             f"(sd/width = {noise_sd / width:.2f}); payoff ties may not survive")
 
-    def family(slope):
-        return [GaussianGridKernel(q, slope, b, noise_sd, edges) for b in intercepts]
-
     truth = GaussianGridKernel(q, spec.r, spec.beta, noise_sd, edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    centers = truth.bank.centers
+
+    def family(slope):
+        return [GaussianGridKernel(q, slope, b, bank=truth.bank) for b in intercepts]
+
     utility = q[:, None] * (centers[None, :] - spec.c)
     args = {"beta": spec.beta, "c": spec.c, "r": spec.r, "r_hat": spec.r_hat,
             "quantity_grid": [float(v) for v in q], "price_bins": int(price_bins),
@@ -301,10 +337,6 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
     # pins it at (1, 0), and the correct slope makes cross data match exactly
     # at (0, 1)
     idx_beta = _nearest_index(grid_a, beta)
-    kern_a = model_a.params[idx_beta].kernel
-    pay_a = kern_a.payoff_matrix(env.utility)
-    feasible_aa = fixed_points(pay_a)
-
     situation = env.situations[0]
 
     def belief_vec(size: int, idx: int) -> np.ndarray:
@@ -322,50 +354,55 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
             mixture_a=False, mixture_b=False)
         return Zeitgeist((p_a, p_b), (o,))
 
-    states: list[Zeitgeist] = []
-    if p_a == 1.0:
-        # cross data pins B's intercept through the realized quantity sum
-        triples: list[tuple[int, int, int]] = []   # (a_AB, a_BA, belief index)
-        for a_ba in range(n):
-            for a_ab in br_set(pay_a[:, a_ba]):
-                target = beta + (q[a_ba] + q[a_ab]) * (r_hat - r)
-                idx_b = _nearest_index(grid_b, target)
-                col = pay_column(r_hat, grid_b[idx_b], a_ab)
-                if best_reply_mask(col, tol)[a_ba]:
-                    triples.append((int(a_ab), a_ba, idx_b))
-        for a_ab, a_ba, idx_b in triples:
-            kern_b = model_b.params[idx_b].kernel
-            for a_bb in fixed_points(kern_b.payoff_matrix(env.utility)):
-                for a_aa in feasible_aa:
-                    states.append(outcome((a_aa, a_ab, a_ba, a_bb), idx_b))
-    else:
-        # own-group data pins B's intercept through twice its own quantity;
-        # only two payoff columns per candidate are ever needed, so the full
-        # subjective matrix is never formed
-        for a_bb in range(n):
-            target = beta + 2.0 * q[a_bb] * (r_hat - r)
-            idx_b = _nearest_index(grid_b, target)
-            intercept = grid_b[idx_b]
-            col_bb = pay_column(r_hat, intercept, a_bb)
-            if not best_reply_mask(col_bb, tol)[a_bb]:
-                continue
-            cols: dict[int, np.ndarray] = {}
+    # rows fetched by the scan and its verification are memoized for this call
+    with truth.bank:
+        pay_a = model_a.params[idx_beta].kernel.payoff_matrix(env.utility)
+        feasible_aa = fixed_points(pay_a)
+
+        states: list[Zeitgeist] = []
+        if p_a == 1.0:
+            # cross data pins B's intercept through the realized quantity sum
+            triples: list[tuple[int, int, int]] = []   # (a_AB, a_BA, belief index)
             for a_ba in range(n):
                 for a_ab in br_set(pay_a[:, a_ba]):
-                    col = cols.get(a_ab)
-                    if col is None:
-                        col = cols[a_ab] = pay_column(r_hat, intercept, a_ab)
+                    target = beta + (q[a_ba] + q[a_ab]) * (r_hat - r)
+                    idx_b = _nearest_index(grid_b, target)
+                    col = pay_column(r_hat, grid_b[idx_b], a_ab)
                     if best_reply_mask(col, tol)[a_ba]:
-                        for a_aa in feasible_aa:
-                            states.append(outcome((a_aa, a_ab, a_ba, a_bb), idx_b))
+                        triples.append((int(a_ab), a_ba, idx_b))
+            for a_ab, a_ba, idx_b in triples:
+                kern_b = model_b.params[idx_b].kernel
+                for a_bb in fixed_points(kern_b.payoff_matrix(env.utility)):
+                    for a_aa in feasible_aa:
+                        states.append(outcome((a_aa, a_ab, a_ba, a_bb), idx_b))
+        else:
+            # own-group data pins B's intercept through twice its own quantity;
+            # only two payoff columns per candidate are ever needed, so the full
+            # subjective matrix is never formed
+            for a_bb in range(n):
+                target = beta + 2.0 * q[a_bb] * (r_hat - r)
+                idx_b = _nearest_index(grid_b, target)
+                intercept = grid_b[idx_b]
+                col_bb = pay_column(r_hat, intercept, a_bb)
+                if not best_reply_mask(col_bb, tol)[a_bb]:
+                    continue
+                cols: dict[int, np.ndarray] = {}
+                for a_ba in range(n):
+                    for a_ab in br_set(pay_a[:, a_ba]):
+                        col = cols.get(a_ab)
+                        if col is None:
+                            col = cols[a_ab] = pay_column(r_hat, intercept, a_ab)
+                        if best_reply_mask(col, tol)[a_ba]:
+                            for a_aa in feasible_aa:
+                                states.append(outcome((a_aa, a_ab, a_ba, a_bb), idx_b))
 
-    states.sort(key=lambda z: z.outcomes[0].quadruple)
-    for z in states:
-        ok, cert = verify_ez(z, env, model_a, model_b, tol)
-        if not ok:
-            raise RuntimeError(
-                f"scan produced a state that fails verification: "
-                f"{z.outcomes[0].quadruple} -> {cert.failures()}")
+        states.sort(key=lambda z: z.outcomes[0].quadruple)
+        for z in states:
+            ok, cert = verify_ez(z, env, model_a, model_b, tol)
+            if not ok:
+                raise RuntimeError(
+                    f"scan produced a state that fails verification: "
+                    f"{z.outcomes[0].quadruple} -> {cert.failures()}")
     return states
 
 

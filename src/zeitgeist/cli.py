@@ -279,8 +279,12 @@ def cmd_learn(args, man):
         cfg = replace(cfg, seed=args.seed)
     if args.every < 1:
         raise ConfigError(f"--every must be at least 1, got {args.every}")
-    if args.window is not None and not 1 <= args.window <= cfg.horizon:
-        raise ConfigError(f"--window must lie in [1, {cfg.horizon}], got {args.window}")
+    # the comparison window must not span a redraw: it fits the last situation block
+    block = cfg.horizon
+    if cfg.situation_period and cfg.horizon:
+        block -= (cfg.horizon - 1) // cfg.situation_period * cfg.situation_period
+    if args.window is not None and not 1 <= args.window <= block:
+        raise ConfigError(f"--window must lie in [1, {block}], got {args.window}")
     man.seed = cfg.seed
     traj = run_learning(env, model_a, model_b, cfg)
     traj.write_text(man.path_for("trajectory.txt"), every=args.every)
@@ -291,7 +295,8 @@ def cmd_learn(args, man):
         ], EXIT_EMPTY
 
     ez = enumerate_ez(env, model_a, model_b, cfg.shares)
-    rep = compare_to_ez(traj, ez, window=args.window or max(1, traj.horizon // 5))
+    window = args.window or min(max(1, traj.horizon // 5), block)
+    rep = compare_to_ez(traj, ez, window=window)
     restarts = traj.restarts.sum(axis=0)
     man.stats["posterior_restarts"] = {"A": int(restarts[0]), "B": int(restarts[1])}
     return "comparison", [

@@ -253,3 +253,70 @@ def test_grid_kernel_payoff_matrix_follows_a_new_utility_array():
     # a fresh utility array may reuse a freed one's address
     for rows, want in zip(utilities, wants):
         assert np.array_equal(kern.payoff_matrix(np.array(rows)), want)
+
+
+def test_mass_bank_serves_rows_bit_equal_to_direct_masses(cournot_51):
+    spec, grid, env, model_a, model_b = cournot_51
+    truth = env.kernels[0]
+    kernels = (truth, model_a.params[3].kernel, model_b.params[-2].kernel)
+    mus = truth.intercept - truth.slope * (grid[7] + grid)
+    with truth.bank:
+        # a batch miss first, then single-row and overlapping batch hits
+        batch = truth.binned_mean(mus[::2])
+        served = [(k.rows_for_own(i), k.masses(k.intercept - k.slope * (grid[i] + grid)))
+                  for k in kernels for i in (0, 7, 50)]
+        singles = [(k.row(i, j), k.masses(k.mean(i, j))[0])
+                   for k in kernels for i, j in ((0, 0), (7, 3), (50, 49))]
+        again = truth.binned_mean(mus)
+        assert len(truth.bank) > 0
+    assert batch.tobytes() == (truth.masses(mus[::2]) @ truth.bank.centers).tobytes()
+    assert again.tobytes() == (truth.masses(mus) @ truth.bank.centers).tobytes()
+    for got, want in served + singles:
+        assert got.tobytes() == want.tobytes()
+
+
+def _scan_recording_certificates(monkeypatch, env, model_a, model_b, shares):
+    """Run the scan; record each certificate it computes together with the
+    number of rows its bank held at that moment."""
+    seen = []
+
+    def spy(z, *args):
+        ok, cert = verify_ez(z, *args)
+        seen.append((z, cert, len(env.kernels[0].bank)))
+        return ok, cert
+
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "verify_ez", spy)
+        states = catalog.cournot_discrete_ez(env, model_a, model_b, shares)
+    return states, seen
+
+
+@pytest.mark.parametrize("shares", [(1.0, 0.0), (0.0, 1.0)])
+def test_mass_bank_memo_lasts_one_scan(cournot_51, monkeypatch, shares):
+    spec, grid, env, model_a, model_b = cournot_51
+    bank = env.kernels[0].bank
+    assert all(p.kernel.bank is bank for p in model_a.params + model_b.params)
+    states, seen = _scan_recording_certificates(monkeypatch, env, model_a, model_b,
+                                                shares)
+    assert states and len(seen) == len(states)
+    assert all(rows > 0 for _, _, rows in seen)
+    assert len(bank) == 0
+
+
+@pytest.mark.parametrize("shares", [(1.0, 0.0), (0.0, 1.0)])
+def test_verify_without_memo_matches_the_scans_certificates(cournot_51, monkeypatch,
+                                                             shares):
+    spec, grid, env, model_a, model_b = cournot_51
+    states, seen = _scan_recording_certificates(monkeypatch, env, model_a, model_b,
+                                                shares)
+    assert states
+
+    def bits(cert):
+        return [(c.minimizers, c.br_slack_own.hex(), c.br_slack_cross.hex())
+                for c in cert.checks]
+
+    # a fresh build caches no payoff matrix, so every row is computed anew
+    fresh = catalog.build_cournot_discrete(spec, grid, 200, 2.0)
+    for z, cert, _ in seen:
+        ok, again = verify_ez(z, *fresh, 1e-9)
+        assert ok and bits(again) == bits(cert)

@@ -354,3 +354,32 @@ def test_import_defers_scipy_solvers():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _two_situation_sim(tmp_path, seed):
+    env_path, model_path = _save_pair(catalog.build_two_situation_game(), tmp_path,
+                                      stem="two")
+    sim_path = tmp_path / "sim.yaml"
+    sim_path.write_text("kind: sim\nn_agents: 16\nshares: [0.5, 0.5]\n"
+                        f"horizon: 80\nsituation_period: 10\nseed: {seed}\n")
+    return ["learn", "--env", env_path, "--model-a", model_path,
+            "--model-b", model_path, "--sim", str(sim_path)]
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_learn_default_window_stays_in_last_situation_block(tmp_path, seed):
+    # horizon 80 redrawn every 10 periods: the last block is periods 70-79,
+    # shorter than the default window of horizon / 5 = 16
+    out = tmp_path / "o"
+    assert cli.main(_two_situation_sim(tmp_path, seed) + ["--out", str(out)]) == 0
+    assert sorted(_read_manifest(out)["outputs"]) == ["comparison.txt", "comparison.yaml",
+                                                      "trajectory.txt"]
+    assert _read_yaml(out / "comparison.yaml")["window"] == 10
+
+
+def test_learn_rejects_window_spanning_a_redraw_before_running(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = cli.main(_two_situation_sim(tmp_path, 3) + ["--window", "11", "--out", str(out)])
+    assert rc == 1
+    assert "--window must lie in [1, 10]" in capsys.readouterr().err
+    assert not out.exists()
