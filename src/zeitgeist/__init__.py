@@ -13,6 +13,7 @@ runs the agent-based cross-check.
 __version__ = "0.1.0"
 
 from .games import (
+    TOL,
     DenseKernel,
     FitnessWeights,
     MonitoringStructure,
@@ -22,7 +23,6 @@ from .games import (
     symmetric_nash,
 )
 from .inference import (
-    ARGMIN_TOL,
     DataContext,
     MinimizerResult,
     kl_divergence,
@@ -85,7 +85,7 @@ from .config import (
 
 __all__ = [
     "__version__",
-    "ARGMIN_TOL", "DEFAULT_EPS_LIST",
+    "TOL", "DEFAULT_EPS_LIST",
     "StageEnv", "DenseKernel", "MonitoringStructure", "FitnessWeights",
     "best_response_indices", "symmetric_nash", "stackelberg",
     "DataContext", "MinimizerResult", "kl_divergence", "scale_kl",

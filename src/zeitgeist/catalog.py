@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import DenseKernel, StageEnv, best_reply_mask, tie_tolerance
+from .games import TOL, DenseKernel, StageEnv, best_reply_mask, slack, tie_tolerance
 from .models import Model, _certainty_form_model, singleton_model
 from .solver import SituationOutcome, Zeitgeist, verify_ez
 
@@ -195,17 +195,6 @@ class GaussianGridKernel:
             cached = self._payoff_cache = (utility, pay)
         return cached[1]
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, GaussianGridKernel)
-                and self.slope == other.slope
-                and self.intercept == other.intercept
-                and self.bank.sigma == other.bank.sigma
-                and np.array_equal(self.bank.edges, other.bank.edges)
-                and np.array_equal(self.quantities, other.quantities))
-
-    def __hash__(self):
-        return id(self)
-
 
 def build_cournot_discrete(spec: CournotSpec, quantity_grid, price_bins: int,
                            noise_sd: float):
@@ -237,14 +226,14 @@ def build_cournot_discrete(spec: CournotSpec, quantity_grid, price_bins: int,
     lo, hi = min(0.0, span), max(0.0, span)
     if drift == 0.0:
         lo, hi = -10.0 * step, 10.0 * step
-    below = int(np.ceil(-lo / step - 1e-9))
-    above = int(np.ceil(hi / step - 1e-9))
+    below = int(np.ceil(-lo / step - TOL))
+    above = int(np.ceil(hi / step - TOL))
     intercepts = spec.beta + step * np.arange(-below, above + 1)
 
     sums = np.unique(q[:, None] + q[None, :])
     targets = spec.beta + sums * drift
     residual = float(np.abs(targets[:, None] - intercepts[None, :]).min(axis=1).max())
-    if residual > 0.5 * step * (1.0 + 1e-9):
+    if residual > 0.5 * step * (1.0 + TOL):
         warnings.warn(
             f"intercept grid too coarse for the data-matching intercepts: "
             f"worst residual {residual:.3g} exceeds half a step ({0.5 * step:.3g})")
@@ -294,7 +283,7 @@ def _nearest_index(values: np.ndarray, target: float) -> int:
 
 
 def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
-                        shares, tol: float = 1e-9) -> list[Zeitgeist]:
+                        shares) -> list[Zeitgeist]:
     """All self-confirming states of the discretized duopoly at an extreme share.
 
     At (1, 0) group A's belief is pinned by own-group data to the true
@@ -327,11 +316,11 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
         return q * (truth.binned_mean(mus) - cost)
 
     def br_set(col: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(best_reply_mask(col, tol))
+        return np.flatnonzero(best_reply_mask(col))
 
     def fixed_points(pay: np.ndarray) -> list[int]:
-        slack = tie_tolerance(pay, tol)
-        return [a for a in range(n) if pay[a, a] >= pay[:, a].max() - slack]
+        tie = tie_tolerance(pay)
+        return [a for a in range(n) if pay[a, a] >= pay[:, a].max() - tie]
 
     # group A's belief is the true intercept at both extremes: own-group data
     # pins it at (1, 0), and the correct slope makes cross data match exactly
@@ -368,7 +357,7 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
                     target = beta + (q[a_ba] + q[a_ab]) * (r_hat - r)
                     idx_b = _nearest_index(grid_b, target)
                     col = pay_column(r_hat, grid_b[idx_b], a_ab)
-                    if best_reply_mask(col, tol)[a_ba]:
+                    if best_reply_mask(col)[a_ba]:
                         triples.append((int(a_ab), a_ba, idx_b))
             for a_ab, a_ba, idx_b in triples:
                 kern_b = model_b.params[idx_b].kernel
@@ -384,7 +373,7 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
                 idx_b = _nearest_index(grid_b, target)
                 intercept = grid_b[idx_b]
                 col_bb = pay_column(r_hat, intercept, a_bb)
-                if not best_reply_mask(col_bb, tol)[a_bb]:
+                if not best_reply_mask(col_bb)[a_bb]:
                     continue
                 cols: dict[int, np.ndarray] = {}
                 for a_ba in range(n):
@@ -392,13 +381,13 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
                         col = cols.get(a_ab)
                         if col is None:
                             col = cols[a_ab] = pay_column(r_hat, intercept, a_ab)
-                        if best_reply_mask(col, tol)[a_ba]:
+                        if best_reply_mask(col)[a_ba]:
                             for a_aa in feasible_aa:
                                 states.append(outcome((a_aa, a_ab, a_ba, a_bb), idx_b))
 
         states.sort(key=lambda z: z.outcomes[0].quadruple)
         for z in states:
-            ok, cert = verify_ez(z, env, model_a, model_b, tol)
+            ok, cert = verify_ez(z, env, model_a, model_b)
             if not ok:
                 raise RuntimeError(
                     f"scan produced a state that fails verification: "
@@ -602,7 +591,7 @@ def _plan_stops_at(drop_from: int | None, k: int) -> bool:
 
 
 def _plan_check(game: _Ladder, role: int, drop_from: int | None,
-                hazard: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
+                hazard: np.ndarray) -> tuple[bool, float]:
     """One-deviation optimality of a threshold plan against conjectured
     opponent stop rates, checked at every node the conjecture can reach.
 
@@ -620,7 +609,7 @@ def _plan_check(game: _Ladder, role: int, drop_from: int | None,
             value[k] = hazard[k] * game.stops[k, role] \
                 + (1.0 - hazard[k]) * value[k + 1]
 
-    scale = max(1.0, float(np.max(np.abs(game.stops))), abs(game.z_end[role]))
+    tie = slack(max(float(np.max(np.abs(game.stops))), abs(game.z_end[role])))
     worst = np.inf
     reachable = True
     for k in range(1, K + 1):
@@ -635,7 +624,7 @@ def _plan_check(game: _Ladder, role: int, drop_from: int | None,
         else:
             if hazard[k] >= 1.0:
                 reachable = False
-    return bool(worst >= -tol * scale), worst
+    return bool(worst >= -tie), worst
 
 
 # plans in the maximal-continuation profile, as first-stop thresholds
@@ -674,7 +663,7 @@ def _conjectured_hazards(K: int, viewer: str, opp: str, role: int,
     return h
 
 
-def _verify_profile(game: _Ladder, x: float, tol: float = 1e-9) -> tuple[bool, float]:
+def _verify_profile(game: _Ladder, x: float) -> tuple[bool, float]:
     """Check all eight (group, role, opponent) plan optimality conditions."""
     plans = _profile_plans(game.K)
     ok_all, worst = True, np.inf
@@ -683,7 +672,7 @@ def _verify_profile(game: _Ladder, x: float, tol: float = 1e-9) -> tuple[bool, f
             for role in (0, 1):
                 drop_from = plans[(viewer, opp)][role]
                 hazard = _conjectured_hazards(game.K, viewer, opp, role, x)
-                ok, margin = _plan_check(game, role, drop_from, hazard, tol)
+                ok, margin = _plan_check(game, role, drop_from, hazard)
                 ok_all = ok_all and ok
                 if np.isfinite(margin):
                     worst = min(worst, margin)
@@ -764,7 +753,7 @@ class CentipedeReport(StoppingReport):
         return self.condition_holds and self.maximal_continuation_verified
 
 
-def centipede_analysis(spec: CentipedeSpec, tol: float = 1e-9) -> CentipedeReport:
+def centipede_analysis(spec: CentipedeSpec) -> CentipedeReport:
     """Verify the maximal-continuation profile and report its fitness line.
 
     The profile is checked by backward induction on subjective values: each
@@ -776,7 +765,7 @@ def centipede_analysis(spec: CentipedeSpec, tol: float = 1e-9) -> CentipedeRepor
     """
     game = _centipede_ladder(spec)
     x = _pooled_rate(spec.K)
-    verified, margin = _verify_profile(game, x, tol)
+    verified, margin = _verify_profile(game, x)
     p_star = None
     if spec.sustainable and verified:
         p_star = 1.0 - spec.l / (spec.g * (spec.K - 2))
@@ -797,7 +786,7 @@ class DollarReport(StoppingReport):
     dominance_flag: bool
 
 
-def dollar_analysis(K: int, tol: float = 1e-9) -> DollarReport:
+def dollar_analysis(K: int) -> DollarReport:
     """Winner-take-all variant: the stopper collects the whole pie.
 
     Passing is still sustained by pooled conjectures, but every payoff the
@@ -808,7 +797,7 @@ def dollar_analysis(K: int, tol: float = 1e-9) -> DollarReport:
     if K < 6 or K % 2 != 0:
         raise ValueError("K must be an even integer >= 6")
     game = _dollar_ladder(K)
-    verified, margin = _verify_profile(game, _pooled_rate(K), tol)
+    verified, margin = _verify_profile(game, _pooled_rate(K))
     m = _match_payoffs(game)
     # both fitness lines are affine in the share, so group A is ahead at
     # every share exactly when it is ahead at both ends

@@ -20,26 +20,38 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-TIE_TOL = 1e-9
+# The one tolerance of the framework: a belief's parameters fit their data
+# within it of the best fit, a played action is within it of the best
+# reply, and a probability vector sums to one within it.
+TOL = 1e-9
 
 
-def tie_tolerance(values: np.ndarray, tol: float = TIE_TOL) -> float:
+def slack(magnitude):
+    """Absolute slack at ``magnitude``: ``TOL`` relative to it, and never
+    less than ``TOL`` itself."""
+    return TOL * np.maximum(1.0, magnitude)
+
+
+def tie_tolerance(values: np.ndarray) -> float:
     """Absolute tie tolerance scaled to the magnitude of ``values``."""
     m = float(np.max(np.abs(values))) if np.size(values) else 1.0
-    return tol * max(1.0, m)
+    return float(slack(m))
 
 
-def best_reply_mask(values: np.ndarray, tol: float = TIE_TOL) -> np.ndarray:
+def best_reply_mask(values: np.ndarray) -> np.ndarray:
     """Entries within tie tolerance of the maximum of one payoff column."""
-    return values >= values.max() - tie_tolerance(values, tol)
+    return values >= values.max() - tie_tolerance(values)
 
 
-def validate_probability_row(row: np.ndarray, where: str, tol: float = 1e-9) -> None:
-    if np.any(row < -tol):
-        raise ValueError(f"{where}: negative probability entry")
-    s = float(row.sum())
-    if abs(s - 1.0) > tol:
-        raise ValueError(f"{where}: probabilities sum to {s!r}, expected 1")
+def validate_probability_row(rows: np.ndarray, where: str) -> None:
+    """Raise unless every vector along the last axis of ``rows`` is a
+    probability vector: no negative entry and a sum within ``TOL`` of one."""
+    rows = np.asarray(rows, dtype=float)
+    bad = (rows < 0.0).any(axis=-1) | ~(np.abs(rows.sum(axis=-1) - 1.0) <= TOL)
+    if bad.any():
+        at = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+        raise ValueError(f"{where}: entries must be nonnegative and sum to 1"
+                         + (f" (bad row at {at})" if at else ""))
 
 
 class DenseKernel:
@@ -55,11 +67,7 @@ class DenseKernel:
         table = np.asarray(table, dtype=float)
         if table.ndim != 3 or table.shape[0] != table.shape[1]:
             raise ValueError("kernel table must have shape (n, n, n_consequences)")
-        sums = table.sum(axis=2)
-        if np.any(table < -1e-9) or np.any(np.abs(sums - 1.0) > 1e-9):
-            bad = np.argwhere(np.abs(sums - 1.0) > 1e-9)
-            loc = tuple(bad[0]) if len(bad) else "negative entry"
-            raise ValueError(f"kernel rows must be probability vectors (bad row at {loc})")
+        validate_probability_row(table, "kernel rows")
         self.table = table
         self._payoff_cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -91,8 +99,8 @@ class DenseKernel:
             self._payoff_cache = cached
         return cached[1]
 
-    def opponent_independent(self, tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.table - self.table[:, :1, :])) <= tol)
+    def opponent_independent(self) -> bool:
+        return bool(np.max(np.abs(self.table - self.table[:, :1, :])) <= TOL)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DenseKernel) and np.array_equal(self.table, other.table)
@@ -113,8 +121,7 @@ class MonitoringStructure:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[1] != len(self.signals):
             raise ValueError("monitoring rows must have shape (n_strategies, n_signals)")
-        for j in range(rows.shape[0]):
-            validate_probability_row(rows[j], f"monitoring row {j}")
+        validate_probability_row(rows, "monitoring rows")
 
     @staticmethod
     def perfect(strategies: Sequence[str]) -> "MonitoringStructure":
@@ -257,17 +264,17 @@ def expected_payoff(env: StageEnv, G, a_i, a_minus, kernel=None) -> float:
     return float(env.payoff_matrix(G, kernel)[i, j])
 
 
-def best_responses(env: StageEnv, G, a_minus, kernel=None, tol: float = TIE_TOL) -> list[str]:
+def best_responses(env: StageEnv, G, a_minus, kernel=None) -> list[str]:
     """All strategies within tie tolerance of the best reply to ``a_minus``."""
     j = env.strategy_index(a_minus)
-    return [env.strategies[i] for i in best_response_indices(env, G, j, kernel, tol)]
+    return [env.strategies[i] for i in best_response_indices(env, G, j, kernel)]
 
 
-def best_response_indices(env: StageEnv, G, j: int, kernel=None, tol: float = TIE_TOL) -> np.ndarray:
-    return np.flatnonzero(best_reply_mask(env.payoff_matrix(G, kernel)[:, j], tol))
+def best_response_indices(env: StageEnv, G, j: int, kernel=None) -> np.ndarray:
+    return np.flatnonzero(best_reply_mask(env.payoff_matrix(G, kernel)[:, j]))
 
 
-def min_tiebreak_best_response(env: StageEnv, G, a_i, tol: float = TIE_TOL) -> str:
+def min_tiebreak_best_response(env: StageEnv, G, a_i) -> str:
     """Opponent best reply to ``a_i`` that is worst for the ``a_i`` player.
 
     Among the opponent's best replies, picks the one minimizing the payoff of
@@ -275,9 +282,9 @@ def min_tiebreak_best_response(env: StageEnv, G, a_i, tol: float = TIE_TOL) -> s
     """
     i = env.strategy_index(a_i)
     U = env.payoff_matrix(G)
-    replies = best_response_indices(env, G, i, tol=tol)
+    replies = best_response_indices(env, G, i)
     mine = U[i, replies]
-    worst = mine.min() + tie_tolerance(mine, tol)
+    worst = mine.min() + tie_tolerance(mine)
     pick = replies[np.flatnonzero(mine <= worst)[0]]
     return env.strategies[int(pick)]
 
@@ -299,17 +306,17 @@ class SymmetricNashResult:
         return bool(self.equilibria)
 
 
-def symmetric_nash(env: StageEnv, G, tol: float = TIE_TOL) -> SymmetricNashResult:
+def symmetric_nash(env: StageEnv, G) -> SymmetricNashResult:
     """Find symmetric pure Nash equilibria of situation ``G``.
 
     An empty result is legal (flagged via ``exists``), not an error.
     """
     U = env.payoff_matrix(G)
-    eq = [a for a in range(env.n_strategies) if best_reply_mask(U[:, a], tol)[a]]
+    eq = [a for a in range(env.n_strategies) if best_reply_mask(U[:, a])[a]]
     if not eq:
         return SymmetricNashResult((), (), None)
     vals = np.array([U[a, a] for a in eq])
-    best = tuple(env.strategies[a] for a, keep in zip(eq, best_reply_mask(vals, tol)) if keep)
+    best = tuple(env.strategies[a] for a, keep in zip(eq, best_reply_mask(vals)) if keep)
     return SymmetricNashResult(tuple(env.strategies[a] for a in eq), best, float(vals.max()))
 
 
@@ -323,13 +330,13 @@ class StackelbergResult:
     unique: bool
 
 
-def stackelberg(env: StageEnv, G, tol: float = TIE_TOL) -> StackelbergResult:
+def stackelberg(env: StageEnv, G) -> StackelbergResult:
     """Commitment strategy maximizing payoff when the opponent best-replies,
     with opponent ties resolved against the committing agent."""
     U = env.payoff_matrix(G)
-    followers = [min_tiebreak_best_response(env, G, a, tol=tol) for a in env.strategies]
+    followers = [min_tiebreak_best_response(env, G, a) for a in env.strategies]
     values = np.array([U[i, env.strategy_index(f)] for i, f in enumerate(followers)])
-    winners = np.flatnonzero(best_reply_mask(values, tol))
+    winners = np.flatnonzero(best_reply_mask(values))
     lead = int(winners[0])
     return StackelbergResult(env.strategies[lead], float(values[lead]),
                              followers[lead], unique=len(winners) == 1)

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ARGMIN_TOL = 1e-9
-SHARE_TOL = 1e-9
+from .games import TOL, slack
 
 
 def kl_divergence(p, q) -> float:
@@ -47,9 +46,9 @@ def scale_kl(weight: float, value: float) -> float:
 
 def validate_shares(shares) -> tuple[float, float]:
     """The two group shares as floats; raises unless they are nonnegative
-    and sum to one within ``SHARE_TOL``."""
+    and sum to one within ``TOL``."""
     pa, pb = (float(s) for s in shares)
-    if min(pa, pb) < 0.0 or abs(pa + pb - 1.0) > SHARE_TOL:
+    if min(pa, pb) < 0.0 or abs(pa + pb - 1.0) > TOL:
         raise ValueError("shares must be a two-point distribution over the groups")
     return pa, pb
 
@@ -73,10 +72,6 @@ class DataContext:
         validate_shares(self.shares)
         if len(self.play) != 4:
             raise ValueError("play must be a quadruple")
-
-    @property
-    def own_share(self) -> float:
-        return self.shares[self.own_group]
 
     def profiles(self) -> tuple[tuple[int, int, int, float], tuple[int, int, int, float]]:
         """The two weighted data profiles: (own strategy, opponent strategy,
@@ -118,14 +113,14 @@ def weighted_kl(param, ctx: DataContext, env) -> float:
     return total
 
 
-def member_cut(values: np.ndarray, tol: float = ARGMIN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def member_cut(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Relative argmin cut along axis 0: the membership mask of the values
-    within ``tol * max(1, |min|)`` of each column's minimum, and the mask of
+    within ``slack(|min|)`` of each column's minimum, and the mask of
     columns whose values are all infinite, which keep every member.  A
     vector is the one-column case."""
     best = values.min(axis=0)
     all_inf = np.isinf(best)
-    members = (values <= best + tol * np.maximum(1.0, np.abs(best))) | all_inf
+    members = (values <= best + slack(np.abs(best))) | all_inf
     return members, all_inf
 
 
@@ -136,14 +131,14 @@ class MinimizerResult:
     all_infinite: bool
 
 
-def kl_minimizers(model, ctx: DataContext, env, tol: float = ARGMIN_TOL) -> MinimizerResult:
+def kl_minimizers(model, ctx: DataContext, env) -> MinimizerResult:
     """Indices of the model parameters minimizing the weighted KL objective.
 
     When every parameter scores ``inf`` the whole index set is returned and
     flagged; this is legal data, not an error.
     """
     values = np.array([weighted_kl(p, ctx, env) for p in model.params])
-    members, all_inf = member_cut(values, tol)
+    members, all_inf = member_cut(values)
     return MinimizerResult(tuple(np.flatnonzero(members).tolist()), values,
                            bool(all_inf))
 

@@ -31,9 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import StageEnv, as_weights
+from .games import TOL, StageEnv, as_weights
 from .inference import validate_shares
 from .models import Model
+
+# a run has converged to a state when its modal play matches the state's and
+# each group's mean kernel belief lies within this total-variation distance
+CONVERGENCE_TV = 0.05
 
 
 def logsumexp(a: np.ndarray) -> np.ndarray:
@@ -165,7 +169,7 @@ def _expanded_prior(model: Model, expanded: Model, prior) -> np.ndarray:
     if out.min() < 1e-12:
         raise ValueError("priors must have full support (every mass >= 1e-12)")
     total = out.sum()
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > TOL:
         raise ValueError("prior must sum to 1")
     return out / total
 
@@ -361,15 +365,15 @@ class ComparisonReport:
     converged: bool
 
 
-def compare_to_ez(traj: LearningTrajectory, ez_list, window: int,
-                  tol: float = 0.05) -> ComparisonReport:
+def compare_to_ez(traj: LearningTrajectory, ez_list, window: int) -> ComparisonReport:
     """Match the final stretch of a run against candidate population states.
 
     Over the last ``window`` periods (which must share one situation), the
     modal play quadruple and mean kernel-marginal beliefs are compared to
     each state's play and beliefs; states are ranked by play mismatch count
     plus total-variation distance, and the run counts as converged when
-    play matches exactly and the worse group's distance is within ``tol``.
+    play matches exactly and the worse group's distance is within
+    ``CONVERGENCE_TV``.
     """
     if not 0 < window <= traj.horizon:
         raise ValueError("window must lie in [1, horizon]")
@@ -404,7 +408,7 @@ def compare_to_ez(traj: LearningTrajectory, ez_list, window: int,
     _, idx, mismatch, tv = best
     return ComparisonReport(window, gi, modal, (float(pay[0]), float(pay[1])),
                             bel_a, bel_b, idx, mismatch, float(tv),
-                            mismatch == 0 and tv <= tol)
+                            mismatch == 0 and tv <= CONVERGENCE_TV)
 
 
 def _kernel_tv(traj_kernel_belief: np.ndarray, ez_belief: np.ndarray,

@@ -184,7 +184,7 @@ class IdentifiabilityReport:
         return iter((self.situation_id, self.stackelberg_id))
 
 
-def check_identifiability(env: StageEnv, tol: float = 1e-12) -> IdentifiabilityReport:
+def check_identifiability(env: StageEnv) -> IdentifiabilityReport:
     """Two distinguishability conditions on the true kernels.
 
     Situation identifiability: kernels of distinct situations differ at every
@@ -199,7 +199,7 @@ def check_identifiability(env: StageEnv, tol: float = 1e-12) -> IdentifiabilityR
             for i in range(n):
                 for j in range(n):
                     gap = np.max(np.abs(env.kernels[g1].row(i, j) - env.kernels[g2].row(i, j)))
-                    if gap <= tol:
+                    if gap <= 1e-12:
                         sit_wit.append((env.situations[g1], env.situations[g2],
                                         env.strategies[i], env.strategies[j]))
 
@@ -216,7 +216,7 @@ def check_identifiability(env: StageEnv, tol: float = 1e-12) -> IdentifiabilityR
                 for r2 in replies2:
                     gap = np.max(np.abs(env.kernels[g1].row(lead, r1)
                                         - env.kernels[g2].row(lead, r2)))
-                    if gap <= tol:
+                    if gap <= 1e-12:
                         stack_wit.append((G1, G2, env.strategies[lead],
                                           env.strategies[int(r1)], env.strategies[int(r2)]))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .games import stackelberg, symmetric_nash
+from .games import TOL, stackelberg, symmetric_nash
 from .learning import SimConfig, compare_to_ez, run_learning
 from .models import check_identifiability, illusion_of_control_model, \
     minimal_correct_model
@@ -116,7 +116,7 @@ def _check_centipede() -> CheckRow:
     ok = (rep.maximal_continuation_verified
           and abs(rep.analogy_minimizer_x - 0.2) <= 1e-6
           and len(scan.thresholds) == 1 and abs(p_b - 0.75) <= 1e-6
-          and rep.p_star_b is not None and abs(rep.p_star_b - 0.75) <= 1e-9)
+          and rep.p_star_b is not None and abs(rep.p_star_b - 0.75) <= TOL)
     return _row("centipede", "analysis",
                 "verified=True x=0.2 p_star_b=0.75",
                 f"verified={got[0]} x={got[1]:.7f} p_star_b={got[2]:.7f}", ok, t0)

@@ -22,18 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import StageEnv, as_weights, tie_tolerance
-from .inference import (ARGMIN_TOL, DataContext, conjecture_columns,
-                        kl_minimizers, kl_profile_tables, member_cut,
-                        validate_shares)
+from .games import TOL, StageEnv, as_weights, slack, tie_tolerance
+from .inference import (DataContext, conjecture_columns, kl_minimizers,
+                        kl_profile_tables, member_cut, validate_shares)
 
 QUAD_KEYS = ("a_AA", "a_AB", "a_BA", "a_BB")
 
 # composing per-situation results across situations multiplies counts;
 # beyond this the caller should work situation by situation
 MAX_COMPOSED = 200_000
-
-SUPPORT_TOL = 1e-9
 
 
 def linprog(*args, **kwargs):
@@ -107,7 +104,7 @@ def _conjectured_columns(model, group: int, member_idx: np.ndarray,
 
 
 def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
-                    a_cross: int, tol: float) -> tuple[np.ndarray, bool] | None:
+                    a_cross: int) -> tuple[np.ndarray, bool] | None:
     """Mixture over the rows of ``v_own``/``v_cross`` making (a_own, a_cross)
     subjectively optimal, or None.
 
@@ -131,14 +128,14 @@ def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
                   bounds=[(0.0, 1.0)] * m + [(None, None)], method="highs")
     if not res.success:
         return None
-    w = np.where(res.x[:m] <= SUPPORT_TOL, 0.0, res.x[:m])
+    w = np.where(res.x[:m] <= TOL, 0.0, res.x[:m])
     total = w.sum()
     if total <= 0.0:
         return None
     w /= total
     # same convention the verifier applies: slack scales with the
     # belief-blended payoffs, not the raw per-parameter stack
-    s = tie_tolerance(np.concatenate([w @ v_own, w @ v_cross]), tol)
+    s = tie_tolerance(np.concatenate([w @ v_own, w @ v_cross]))
     if float((w @ d_own).min()) < -s or float((w @ d_cross).min()) < -s:
         return None
     return w, int(np.count_nonzero(w)) > 1
@@ -153,7 +150,7 @@ class _GroupTables:
     (a_BB, a_BA, a_AB) for group B.
     """
 
-    def __init__(self, env: StageEnv, model, group: int, gi: int, tol: float):
+    def __init__(self, env: StageEnv, model, group: int, gi: int):
         n = env.n_strategies
         self.n_params = model.n_params
         table = kl_profile_tables(model, env, gi)
@@ -174,13 +171,12 @@ class _GroupTables:
 
         # ok[t, x, y, z]: parameter t alone makes x and y optimal, under the
         # verifier's tie slack scaled to both payoff columns
-        slack = tol * np.maximum(1.0, np.maximum(
-            np.abs(self.v_own).max(axis=2)[:, :, None],
-            np.abs(self.v_cross).max(axis=2)[:, None, :]))       # [t, x, z]
+        tie = slack(np.maximum(np.abs(self.v_own).max(axis=2)[:, :, None],
+                               np.abs(self.v_cross).max(axis=2)[:, None, :]))   # [t, x, z]
         gap_own = np.diagonal(self.v_own, axis1=1, axis2=2) - self.v_own.max(axis=2)
         gap_cross = self.v_cross - self.v_cross.max(axis=2, keepdims=True)   # [t, z, y]
-        self.ok = ((gap_own[:, :, None, None] >= -slack[:, :, None, :])
-                   & (gap_cross.transpose(0, 2, 1)[:, None] >= -slack[:, :, None, :]))
+        self.ok = ((gap_own[:, :, None, None] >= -tie[:, :, None, :])
+                   & (gap_cross.transpose(0, 2, 1)[:, None] >= -tie[:, :, None, :]))
 
     def objective(self, w_own: float, w_cross: float) -> np.ndarray:
         """Weighted explanatory objective of every parameter and triple."""
@@ -192,9 +188,9 @@ class _GroupTables:
 class _GroupCut:
     """One group's minimizer sets and certified beliefs at given shares."""
 
-    def __init__(self, tables: _GroupTables, w_own: float, w_cross: float, tol: float):
+    def __init__(self, tables: _GroupTables, w_own: float, w_cross: float):
         self.tables = tables
-        self.members, self.all_inf = member_cut(tables.objective(w_own, w_cross), tol)
+        self.members, self.all_inf = member_cut(tables.objective(w_own, w_cross))
         single = self.members & tables.ok
         self.has_single = single.any(axis=0)
         self.first = single.argmax(axis=0)        # first rationalizer, index order
@@ -202,12 +198,12 @@ class _GroupCut:
         self.feasible = self.has_single.copy()
         self.mixtures: dict[tuple[int, int, int], tuple[np.ndarray, bool]] = {}
 
-    def run_lp(self, wanted: np.ndarray, tol: float) -> np.ndarray:
+    def run_lp(self, wanted: np.ndarray) -> np.ndarray:
         """Certify the ``wanted`` LP triples; returns the feasibility mask."""
         v_own, v_cross = self.tables.v_own, self.tables.v_cross
         for x, y, z in np.argwhere(self.needs_lp & wanted):
             idx = np.flatnonzero(self.members[:, x, y, z])
-            found = _mixture_belief(v_own[idx, x], v_cross[idx, z], x, y, tol)
+            found = _mixture_belief(v_own[idx, x], v_cross[idx, z], x, y)
             if found is not None:
                 belief = np.zeros(self.tables.n_params)
                 belief[idx] = found[0]
@@ -231,17 +227,16 @@ class SituationProblem:
 
     Holds the share-independent tables of both groups (KL profile tables,
     subjective payoff stacks and the single-parameter rationalizer tensor
-    ``ok``); ``tol`` is both the relative argmin cut and the tie slack.
+    ``ok``).
     """
 
-    def __init__(self, env: StageEnv, model_a, model_b, G, tol: float = ARGMIN_TOL):
+    def __init__(self, env: StageEnv, model_a, model_b, G):
         _require_compatible(env, model_a, "A")
         _require_compatible(env, model_b, "B")
         gi = env.situation_index(G)
         self.situation = env.situations[gi]
-        self.tol = tol
-        self.groups = (_GroupTables(env, model_a, 0, gi, tol),
-                       _GroupTables(env, model_b, 1, gi, tol))
+        self.groups = (_GroupTables(env, model_a, 0, gi),
+                       _GroupTables(env, model_b, 1, gi))
 
     def solve(self, shares: tuple[float, float]) -> list[SituationOutcome]:
         """All self-confirming pure-play outcomes at the given shares.
@@ -253,12 +248,12 @@ class SituationProblem:
         the LP only when the other group has a triple that completes it.
         """
         p_a, p_b = validate_shares(shares)
-        cut_a = _GroupCut(self.groups[0], p_a, p_b, self.tol)
-        cut_b = _GroupCut(self.groups[1], p_b, p_a, self.tol)
+        cut_a = _GroupCut(self.groups[0], p_a, p_b)
+        cut_b = _GroupCut(self.groups[1], p_b, p_a)
         # B's own frame [l, k, j] read on A's axes [j, k, l]
         maybe_b = (cut_b.has_single | cut_b.needs_lp).transpose(2, 1, 0)
-        feas_a = cut_a.run_lp(maybe_b.any(axis=2)[None], self.tol)
-        feas_b = cut_b.run_lp(feas_a.any(axis=0).T[None], self.tol).transpose(2, 1, 0)
+        feas_a = cut_a.run_lp(maybe_b.any(axis=2)[None])
+        feas_b = cut_b.run_lp(feas_a.any(axis=0).T[None]).transpose(2, 1, 0)
 
         outcomes = []
         for i, j, k, l in np.argwhere(feas_a[:, :, :, None] & feas_b[None]):
@@ -272,14 +267,13 @@ class SituationProblem:
 
 
 def enumerate_situation_ez(env: StageEnv, model_a, model_b, G,
-                           shares: tuple[float, float],
-                           tol: float = ARGMIN_TOL) -> list[SituationOutcome]:
+                           shares: tuple[float, float]) -> list[SituationOutcome]:
     """All self-confirming pure-play outcomes of one situation.
 
     Builds the situation's problem and solves it once; to solve at several
     shares, build one ``SituationProblem`` and call ``solve`` for each.
     """
-    return SituationProblem(env, model_a, model_b, G, tol).solve(shares)
+    return SituationProblem(env, model_a, model_b, G).solve(shares)
 
 
 def _compose(per_situation: list[list[SituationOutcome]],
@@ -295,14 +289,14 @@ def _compose(per_situation: list[list[SituationOutcome]],
             for combo in itertools.product(*per_situation)]
 
 
-def enumerate_ez(env: StageEnv, model_a, model_b, shares: tuple[float, float],
-                 tol: float = ARGMIN_TOL) -> list[Zeitgeist]:
+def enumerate_ez(env: StageEnv, model_a, model_b,
+                 shares: tuple[float, float]) -> list[Zeitgeist]:
     """All self-confirming population states at the given group shares.
 
     Situations decouple, so the state list is the product of per-situation
     outcome lists.  Raises when that product would be unreasonably large.
     """
-    return _compose([enumerate_situation_ez(env, model_a, model_b, G, shares, tol)
+    return _compose([enumerate_situation_ez(env, model_a, model_b, G, shares)
                      for G in env.situations], shares)
 
 
@@ -383,7 +377,7 @@ class EZCertificate:
 
 
 def _check_group(env: StageEnv, model, group: int, outcome: SituationOutcome,
-                 gi: int, shares: tuple[float, float], tol: float) -> GroupCheck:
+                 gi: int, shares: tuple[float, float]) -> GroupCheck:
     i, j, k, l = outcome.quadruple
     belief = outcome.belief_a if group == 0 else outcome.belief_b
     if group == 0:
@@ -393,14 +387,14 @@ def _check_group(env: StageEnv, model, group: int, outcome: SituationOutcome,
 
     # evaluate only the P weighted objectives, never the full profile table
     ctx = DataContext(group, shares, gi, outcome.quadruple)
-    fit = kl_minimizers(model, ctx, env, tol)
+    fit = kl_minimizers(model, ctx, env)
     member = np.zeros(model.n_params, dtype=bool)
     member[list(fit.indices)] = True
-    stray = np.flatnonzero((belief > SUPPORT_TOL) & ~member)
+    stray = np.flatnonzero((belief > TOL) & ~member)
     support_ok = stray.size == 0
-    sum_ok = bool(abs(belief.sum() - 1.0) <= 1e-9 and belief.min() >= -1e-12)
+    sum_ok = bool(abs(belief.sum() - 1.0) <= TOL and belief.min() >= -1e-12)
 
-    sup = np.flatnonzero(belief > SUPPORT_TOL)
+    sup = np.flatnonzero(belief > TOL)
     if sup.size == 0:
         return GroupCheck(env.situations[gi], "AB"[group], fit.indices,
                           fit.all_infinite, support_ok,
@@ -416,19 +410,19 @@ def _check_group(env: StageEnv, model, group: int, outcome: SituationOutcome,
         pay_t = model.params[t].kernel.payoff_matrix(env.utility)
         v_own += belief[t] * pay_t[:, own_cols[r]]
         v_cross += belief[t] * pay_t[:, cross_cols[r]]
-    slack = tie_tolerance(np.concatenate([v_own, v_cross]), tol)
+    tie = tie_tolerance(np.concatenate([v_own, v_cross]))
     br_own = float(v_own[me_own] - v_own.max())
     br_cross = float(v_cross[me_cross] - v_cross.max())
 
-    ok = support_ok and sum_ok and br_own >= -slack and br_cross >= -slack
+    ok = support_ok and sum_ok and br_own >= -tie and br_cross >= -tie
     return GroupCheck(env.situations[gi], "AB"[group], fit.indices,
                       fit.all_infinite, support_ok,
                       tuple(int(t) for t in stray), sum_ok,
                       br_own, br_cross, ok)
 
 
-def verify_ez(z: Zeitgeist, env: StageEnv, model_a, model_b,
-              tol: float = ARGMIN_TOL) -> tuple[bool, EZCertificate]:
+def verify_ez(z: Zeitgeist, env: StageEnv, model_a,
+              model_b) -> tuple[bool, EZCertificate]:
     """Independent check that a population state is self-confirming.
 
     Recomputes minimizer sets from scratch, confirms each belief is a
@@ -440,8 +434,8 @@ def verify_ez(z: Zeitgeist, env: StageEnv, model_a, model_b,
     _require_compatible(env, model_b, "B")
     checks = []
     for gi, outcome in enumerate(z.outcomes):
-        checks.append(_check_group(env, model_a, 0, outcome, gi, z.shares, tol))
-        checks.append(_check_group(env, model_b, 1, outcome, gi, z.shares, tol))
+        checks.append(_check_group(env, model_a, 0, outcome, gi, z.shares))
+        checks.append(_check_group(env, model_b, 1, outcome, gi, z.shares))
     cert = EZCertificate(tuple(checks))
     return cert.ok, cert
 
@@ -454,7 +448,7 @@ def zeitgeist_summary(z: Zeitgeist, env: StageEnv, model_a, model_b,
     for o in z.outcomes:
         def belief_map(model, w):
             return {model.params[t].label or f"param_{t}": round(float(w[t]), 12)
-                    for t in np.flatnonzero(w > SUPPORT_TOL)}
+                    for t in np.flatnonzero(w > TOL)}
         rows.append({
             "situation": o.situation,
             "play": {key: env.strategies[a] for key, a in zip(QUAD_KEYS, o.quadruple)},

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import StageEnv, as_weights, best_response_indices, symmetric_nash
+from .games import TOL, StageEnv, as_weights, best_response_indices, symmetric_nash
 from .solver import (SituationProblem, Zeitgeist, conditional_fitness,
                      fitness, situation_fitness, solve_states)
 
-GAP_TOL = 1e-9
 DEFAULT_EPS_LIST = (0.1, 0.05, 0.01, 0.005, 0.001)
 
 
@@ -52,8 +51,7 @@ class StabilityVerdict:
 
 
 def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
-                       eps_list=DEFAULT_EPS_LIST, gap_tol: float = GAP_TOL,
-                       tol: float = 1e-9) -> StabilityVerdict:
+                       eps_list=DEFAULT_EPS_LIST) -> StabilityVerdict:
     """Resident-minus-entrant fitness range across all states, per invasion size.
 
     States decouple across situations, so the extreme total gaps are the
@@ -64,13 +62,13 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
     if not len(eps_list):
         raise ValueError("need at least one invasion size")
     eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
+    if not all(0.0 < eps < 1.0 for eps in eps_sorted):
+        raise ValueError("invasion sizes must lie strictly between 0 and 1")
     weights = as_weights(q, env.n_situations)
-    problems = [SituationProblem(env, model_resident, model_entrant, G, tol)
+    problems = [SituationProblem(env, model_resident, model_entrant, G)
                 for G in env.situations]
     evidence = []
     for eps in eps_sorted:
-        if not 0.0 < eps < 1.0:
-            raise ValueError("invasion sizes must lie strictly between 0 and 1")
         shares = (1.0 - eps, eps)
         counts = []
         lo = hi = 0.0
@@ -93,9 +91,9 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
 
     if any(e.empty for e in evidence):
         label = "NoEZ"
-    elif all(e.min_gap >= -gap_tol for e in evidence):
+    elif all(e.min_gap >= -TOL for e in evidence):
         label = "Stable"
-    elif all(e.max_gap < -gap_tol for e in evidence):
+    elif all(e.max_gap < -TOL for e in evidence):
         label = "Fragile"
     else:
         label = "Ambiguous"
@@ -112,8 +110,7 @@ class ReversalResult:
     mixture_supported_present: bool
 
 
-def detect_reversal(env: StageEnv, model_a, model_b, tol: float = GAP_TOL,
-                    solver_tol: float = 1e-9) -> ReversalResult:
+def detect_reversal(env: StageEnv, model_a, model_b) -> ReversalResult:
     """Conditional-fitness reversal between the two extreme share points.
 
     With group A as the whole population, A must beat B conditional on both
@@ -125,22 +122,22 @@ def detect_reversal(env: StageEnv, model_a, model_b, tol: float = GAP_TOL,
         raise ValueError("reversal detection is defined for a single situation")
     G = env.situations[0]
 
-    problems = [SituationProblem(env, model_a, model_b, G, solver_tol)]
+    problems = [SituationProblem(env, model_a, model_b, G)]
     states_a = tuple(solve_states(problems, (1.0, 0.0)))
     states_b = tuple(solve_states(problems, (0.0, 1.0)))
 
     cond_a = bool(states_a)
     for z in states_a:
         vs_a = conditional_fitness(z, env, G, "A", "A") \
-            > conditional_fitness(z, env, G, "B", "A") + tol
+            > conditional_fitness(z, env, G, "B", "A") + TOL
         vs_b = conditional_fitness(z, env, G, "A", "B") \
-            > conditional_fitness(z, env, G, "B", "B") + tol
+            > conditional_fitness(z, env, G, "B", "B") + TOL
         cond_a = cond_a and vs_a and vs_b
 
     cond_b = bool(states_b)
     for z in states_b:
         f = fitness(z, env)
-        cond_b = cond_b and (f[1] > f[0] + tol)
+        cond_b = cond_b and (f[1] > f[0] + TOL)
 
     mixture = any(z.mixture_supported for z in states_a + states_b)
     return ReversalResult(cond_a and cond_b, cond_a, cond_b,
@@ -154,12 +151,11 @@ class StableSharesResult:
     gaps: np.ndarray                # resident minus entrant; nan where undefined
 
 
-def first_ez_selector(env: StageEnv, model_a, model_b, q=None,
-                      tol: float = 1e-9):
+def first_ez_selector(env: StageEnv, model_a, model_b, q=None):
     """Fitness pair of the first state in enumeration order, as a function
     of group A's share; None when no state exists.  The situation problems
     are built once, here, and solved at every share."""
-    problems = [SituationProblem(env, model_a, model_b, G, tol)
+    problems = [SituationProblem(env, model_a, model_b, G)
                 for G in env.situations]
 
     def select(p_a: float):
@@ -171,14 +167,13 @@ def first_ez_selector(env: StageEnv, model_a, model_b, q=None,
     return select
 
 
-def scan_stable_shares(gap_source, grid=None,
-                       share_tol: float = 1e-9) -> StableSharesResult:
+def scan_stable_shares(gap_source, grid=None) -> StableSharesResult:
     """Shares where the resident-minus-entrant gap falls through zero.
 
     ``gap_source`` maps group A's share to a (fitness A, fitness B) pair or
     None.  Only downward crossings count: a positive gap at a lower share
     followed by a negative gap at a higher one, refined by bisection to
-    ``share_tol``.  A gap that merely touches zero is not a crossing.
+    ``TOL``.  A gap that merely touches zero is not a crossing.
     """
     if grid is None:
         grid = np.linspace(0.0, 1.0, 101)
@@ -191,7 +186,7 @@ def scan_stable_shares(gap_source, grid=None,
 
     def refine(lo: float, hi: float) -> float:
         # invariant: gap(lo) > 0, gap(hi) <= 0 with a negative beyond
-        while hi - lo > share_tol:
+        while hi - lo > TOL:
             mid = 0.5 * (lo + hi)
             pair = gap_source(mid)
             if pair is None:
@@ -217,15 +212,15 @@ def scan_stable_shares(gap_source, grid=None,
     return StableSharesResult(tuple(thresholds), grid, gaps)
 
 
-def stable_shares(env: StageEnv, model_a, model_b, q=None, grid_n: int = 101,
-                  tol: float = 1e-9) -> StableSharesResult:
+def stable_shares(env: StageEnv, model_a, model_b, q=None,
+                  grid_n: int = 101) -> StableSharesResult:
     """Stable group-A shares for two finite models over a uniform share grid,
     tracking the first state in enumeration order (``first_ez_selector``);
     other gap sources go to ``scan_stable_shares`` directly."""
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
     return scan_stable_shares(first_ez_selector(env, model_a, model_b, q),
-                              np.linspace(0.0, 1.0, grid_n), tol)
+                              np.linspace(0.0, 1.0, grid_n))
 
 
 @dataclass(frozen=True)
@@ -243,8 +238,7 @@ class SeparationResult:
         return self.separating_q is not None
 
 
-def singleton_fragility_check(env: StageEnv, tol: float = 1e-9,
-                              margin_tol: float = 1e-9) -> SeparationResult:
+def singleton_fragility_check(env: StageEnv) -> SeparationResult:
     """Can symmetric-equilibrium payoffs be protected against reaction rules?
 
     A dogmatic single-kernel entrant facing objectively rational opponents
@@ -262,12 +256,12 @@ def singleton_fragility_check(env: StageEnv, tol: float = 1e-9,
 
     nash_vals = np.empty(m)
     for gi, G in enumerate(env.situations):
-        res = symmetric_nash(env, G, tol)
+        res = symmetric_nash(env, G)
         if not res.exists:
             raise ValueError(f"no symmetric pure equilibrium in situation {G}")
         nash_vals[gi] = res.value
 
-    replies = [[best_response_indices(env, G, a_i, tol=tol) for a_i in range(n)]
+    replies = [[best_response_indices(env, G, a_i) for a_i in range(n)]
                for G in env.situations]
 
     rules = []
@@ -316,12 +310,12 @@ def singleton_fragility_check(env: StageEnv, tol: float = 1e-9,
     separating_q = None
     margin = strict_margin_at(q_star)
     eps_used = 0.0
-    if lp_margin > margin_tol:
+    if lp_margin > TOL:
         eps = 0.1
         while eps >= 1e-12:
             q_tilt = (1.0 - eps) * q_star + eps / m
             sm = strict_margin_at(q_tilt)
-            if sm > margin_tol:
+            if sm > TOL:
                 separating_q, margin, eps_used = q_tilt, sm, eps
                 break
             eps *= 0.5

@@ -1,6 +1,11 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import zeitgeist
 from conftest import coordination_env, decision_env, mismatch_env
 from zeitgeist.games import (
     DenseKernel,
@@ -32,6 +37,51 @@ def test_validate_probability_row_rejects_bad_rows():
         validate_probability_row(np.array([0.5, 0.6]), "sum")
     with pytest.raises(ValueError):
         validate_probability_row(np.array([-0.1, 1.1]), "negative")
+
+
+def test_probability_rows_reject_any_negative_entry():
+    # one rule at every edge: no negative entry at all, sums within TOL
+    tiny = np.array([1.0 + 1e-10, -1e-10])
+    table = np.zeros((2, 2, 2))
+    table[..., 0] = 1.0
+    table[1, 0] = tiny
+    with pytest.raises(ValueError, match=r"bad row at \(1, 0\)"):
+        DenseKernel(table)
+    with pytest.raises(ValueError, match=r"bad row at \(1,\)"):
+        MonitoringStructure(("x", "y"), np.array([[1.0, 0.0], tiny]))
+    with pytest.raises(ValueError):
+        FitnessWeights(tiny)
+    with pytest.raises(ValueError):
+        as_weights(tiny.tolist(), 2)
+    with pytest.raises(ValueError):
+        validate_probability_row(np.array([0.5, np.nan]), "nan")
+    # sums still get the tolerance
+    table[1, 0] = [0.5, 0.5 + 5e-10]
+    DenseKernel(table)
+
+
+def test_no_callable_takes_a_tolerance_parameter():
+    # every fit, tie and sum check reads games.TOL; a per-call tolerance
+    # would be a second rule.  is_perfect serves exact and near-exact
+    # checks of monitoring, which differ on purpose.
+    allowed = {"zeitgeist.games.MonitoringStructure.is_perfect"}
+    found = []
+    for info in pkgutil.iter_modules(zeitgeist.__path__):
+        module = importlib.import_module(f"zeitgeist.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
+                           if attr == "__init__" or not attr.startswith("_")]
+            for qualname, fn in members:
+                if not inspect.isfunction(fn):
+                    continue
+                where = f"{module.__name__}.{qualname}"
+                found += [f"{where}({p})" for p in inspect.signature(fn).parameters
+                          if "tol" in p.lower() and where not in allowed]
+    assert found == []
 
 
 class TestDenseKernel:

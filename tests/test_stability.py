@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import coordination_env, decision_env, mismatch_env
-from zeitgeist import catalog
+from zeitgeist import catalog, stability
 from zeitgeist.models import illusion_of_control_model, minimal_correct_model
 from zeitgeist.stability import (
     classify_stability,
@@ -49,6 +49,25 @@ def test_classify_rejects_bad_invasion_sizes():
         classify_stability(env, model, model, eps_list=(0.1, 0.0))
     with pytest.raises(ValueError):
         classify_stability(env, model, model, eps_list=(1.0,))
+
+
+def test_classify_checks_every_invasion_size_before_any_work(monkeypatch):
+    # a bad size anywhere in the list is refused before any situation
+    # problem is built or any larger size is solved
+    env = coordination_env()
+    model = minimal_correct_model(env)
+    builds = []
+    build = stability.SituationProblem
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "SituationProblem", counting)
+    for bad in ((0.1, 0.0), (0.05, 1.0), (0.2, -0.1, 0.01)):
+        with pytest.raises(ValueError):
+            classify_stability(env, model, model, eps_list=bad)
+    assert builds == []
 
 
 def test_classify_reports_no_ez():
