@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .games import (
     TOL,
     DenseKernel,
-    FitnessWeights,
     MonitoringStructure,
     StageEnv,
     best_response_indices,
@@ -86,7 +85,7 @@ from .config import (
 __all__ = [
     "__version__",
     "TOL", "DEFAULT_EPS_LIST",
-    "StageEnv", "DenseKernel", "MonitoringStructure", "FitnessWeights",
+    "StageEnv", "DenseKernel", "MonitoringStructure",
     "best_response_indices", "symmetric_nash", "stackelberg",
     "DataContext", "MinimizerResult", "kl_divergence", "scale_kl",
     "weighted_kl", "kl_minimizers",

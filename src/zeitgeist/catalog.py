@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import TOL, DenseKernel, StageEnv, best_reply_mask, slack, tie_tolerance
+from .games import TOL, DenseKernel, StageEnv, best_reply_mask, slack
 from .models import Model, _certainty_form_model, singleton_model
 from .solver import SituationOutcome, Zeitgeist, verify_ez
 
@@ -43,7 +43,7 @@ class CournotSpec:
     def __post_init__(self):
         if not self.beta > self.c:
             raise ValueError("demand intercept must exceed marginal cost")
-        if self.r <= 0 or self.r_hat <= 0:
+        if not (self.r > 0 and self.r_hat > 0):
             raise ValueError("demand slopes must be positive")
 
 
@@ -131,18 +131,16 @@ class GaussianGridKernel:
     The price at profile (i, j) is normal with mean
     ``intercept - slope*(q_i + q_j)`` and a shared standard deviation,
     discretized onto a common equal-width bin axis and renormalized.  Rows
-    come from a ``MassBank`` (a private one unless ``bank`` is given), which
-    memoizes them for one ``cournot_discrete_ez`` call and otherwise
-    computes them on demand; the (n, n, bins) table is never stored.
+    come from ``bank``, which memoizes them for one ``cournot_discrete_ez``
+    call and otherwise computes them on demand; the (n, n, bins) table is
+    never stored.
     """
 
-    def __init__(self, quantities, slope: float, intercept: float,
-                 sigma: float | None = None, edges=None, *,
-                 bank: MassBank | None = None):
+    def __init__(self, quantities, slope: float, intercept: float, bank: MassBank):
         self.quantities = np.asarray(quantities, dtype=float)
         self.slope = float(slope)
         self.intercept = float(intercept)
-        self.bank = bank if bank is not None else MassBank(edges, sigma)
+        self.bank = bank
         self._payoff_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -185,7 +183,9 @@ class GaussianGridKernel:
         return self.bank.rows(mus, self.masses)
 
     def payoff_matrix(self, utility: np.ndarray) -> np.ndarray:
-        # keyed on the utility array itself, as in DenseKernel.payoff_matrix
+        # the one payoff memo: a miss stacks every row of the grid, and the
+        # verifier asks again for each state.  It holds the utility array
+        # itself, so that array's identity stays a valid key while it lives.
         cached = self._payoff_cache
         if cached is None or cached[0] is not utility:
             n = self.n_strategies
@@ -213,7 +213,7 @@ def build_cournot_discrete(spec: CournotSpec, quantity_grid, price_bins: int,
     monopoly = (spec.beta - spec.c) / spec.r
     if q[0] > 1e-12 or q[-1] < monopoly - 1e-12:
         raise ValueError(f"quantity grid must cover [0, {monopoly:g}]")
-    if noise_sd <= 0:
+    if not noise_sd > 0:
         raise ValueError("noise_sd must be positive")
     if price_bins < 2:
         raise ValueError(f"price_bins must be at least 2, got {price_bins}")
@@ -248,11 +248,12 @@ def build_cournot_discrete(spec: CournotSpec, quantity_grid, price_bins: int,
             f"price bins are coarse relative to the noise scale "
             f"(sd/width = {noise_sd / width:.2f}); payoff ties may not survive")
 
-    truth = GaussianGridKernel(q, spec.r, spec.beta, noise_sd, edges)
-    centers = truth.bank.centers
+    bank = MassBank(edges, noise_sd)
+    truth = GaussianGridKernel(q, spec.r, spec.beta, bank)
+    centers = bank.centers
 
     def family(slope):
-        return [GaussianGridKernel(q, slope, b, bank=truth.bank) for b in intercepts]
+        return [GaussianGridKernel(q, slope, b, bank) for b in intercepts]
 
     utility = q[:, None] * (centers[None, :] - spec.c)
     args = {"beta": spec.beta, "c": spec.c, "r": spec.r, "r_hat": spec.r_hat,
@@ -319,8 +320,7 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
         return np.flatnonzero(best_reply_mask(col))
 
     def fixed_points(pay: np.ndarray) -> list[int]:
-        tie = tie_tolerance(pay)
-        return [a for a in range(n) if pay[a, a] >= pay[:, a].max() - tie]
+        return np.flatnonzero(np.diagonal(best_reply_mask(pay))).tolist()
 
     # group A's belief is the true intercept at both extremes: own-group data
     # pins it at (1, 0), and the correct slope makes cross data match exactly
@@ -413,9 +413,9 @@ class InvestmentSpec:
     m: float
 
     def __post_init__(self):
-        if self.b <= 0:
+        if not self.b > 0:
             raise ValueError("price slope b must be positive")
-        if self.m <= 0:
+        if not self.m > 0:
             raise ValueError("discount offset m must be positive")
 
     def b_star(self, a_i: int, a_j: int) -> float:
@@ -550,7 +550,7 @@ class CentipedeSpec:
     def __post_init__(self):
         if self.K < 4 or self.K % 2 != 0:
             raise ValueError("K must be an even integer >= 4")
-        if self.g <= 0 or self.l <= 0:
+        if not (self.g > 0 and self.l > 0):
             raise ValueError("g and l must be positive")
 
     @property

@@ -15,8 +15,8 @@ games representable without a product consequence space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +39,9 @@ def tie_tolerance(values: np.ndarray) -> float:
 
 
 def best_reply_mask(values: np.ndarray) -> np.ndarray:
-    """Entries within tie tolerance of the maximum of one payoff column."""
-    return values >= values.max() - tie_tolerance(values)
+    """Entries within tie tolerance of the maximum of their payoff column
+    (axis 0), the tolerance scaled to that column's magnitude."""
+    return values >= values.max(axis=0) - slack(np.abs(values).max(axis=0))
 
 
 def validate_probability_row(rows: np.ndarray, where: str) -> None:
@@ -58,10 +59,12 @@ class DenseKernel:
     """Consequence kernel backed by an (n_strategies, n_strategies, n_consequences) array.
 
     ``table[i, j]`` is the distribution of consequences when the agent plays
-    strategy ``i`` against an opponent playing ``j``.
+    strategy ``i`` against an opponent playing ``j``.  Every kernel offers
+    the five members below; outside ``config``, which serializes tables,
+    no caller reads more of one.
     """
 
-    __slots__ = ("table", "_payoff_cache")
+    __slots__ = ("table",)
 
     def __init__(self, table: np.ndarray):
         table = np.asarray(table, dtype=float)
@@ -69,7 +72,6 @@ class DenseKernel:
             raise ValueError("kernel table must have shape (n, n, n_consequences)")
         validate_probability_row(table, "kernel rows")
         self.table = table
-        self._payoff_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_strategies(self) -> int:
@@ -91,22 +93,7 @@ class DenseKernel:
 
         ``utility`` has shape (n_strategies, n_consequences).
         """
-        # the cache holds the utility array itself, so its identity stays
-        # a valid key for as long as the entry lives
-        cached = self._payoff_cache
-        if cached is None or cached[0] is not utility:
-            cached = (utility, np.einsum("ijy,iy->ij", self.table, utility))
-            self._payoff_cache = cached
-        return cached[1]
-
-    def opponent_independent(self) -> bool:
-        return bool(np.max(np.abs(self.table - self.table[:, :1, :])) <= TOL)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DenseKernel) and np.array_equal(self.table, other.table)
-
-    def __hash__(self):  # id-based; equality above is for dedup via explicit checks
-        return id(self)
+        return np.einsum("ijy,iy->ij", self.table, utility)
 
 
 @dataclass(frozen=True)
@@ -145,30 +132,11 @@ class MonitoringStructure:
         return self.rows.shape[1] == n and bool(np.max(np.abs(self.rows - np.eye(n))) <= tol)
 
 
-@dataclass(frozen=True)
-class FitnessWeights:
-    """Probability weights over situations used when aggregating fitness."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        validate_probability_row(w, "situation weights")
-
-    @staticmethod
-    def uniform(n: int) -> "FitnessWeights":
-        return FitnessWeights(np.full(n, 1.0 / n))
-
-
 def as_weights(q, n_situations: int) -> np.ndarray:
     if q is None:
         return np.full(n_situations, 1.0 / n_situations)
-    if isinstance(q, FitnessWeights):
-        w = q.weights
-    else:
-        w = np.asarray(q, dtype=float)
-        validate_probability_row(w, "situation weights")
+    w = np.asarray(q, dtype=float)
+    validate_probability_row(w, "situation weights")
     if len(w) != n_situations:
         raise ValueError(f"expected {n_situations} situation weights, got {len(w)}")
     return w
@@ -246,32 +214,13 @@ class StageEnv:
         return self.kernels[self.situation_index(G)]
 
     # -- objective payoffs ---------------------------------------------
-    def payoff_matrix(self, G, kernel=None) -> np.ndarray:
-        """Expected-utility matrix ``U[i, j]`` in situation ``G`` (objective kernel by default)."""
-        gi = self.situation_index(G)
-        if kernel is None:
-            kernel = self.kernels[gi]
-        return kernel.payoff_matrix(self.utility)
+    def payoff_matrix(self, G) -> np.ndarray:
+        """Expected-utility matrix ``U[i, j]`` under the true kernel of situation ``G``."""
+        return self.kernels[self.situation_index(G)].payoff_matrix(self.utility)
 
 
-def expected_payoff(env: StageEnv, G, a_i, a_minus, kernel=None) -> float:
-    """Expected utility of playing ``a_i`` against ``a_minus``.
-
-    Uses the objective kernel of situation ``G`` unless ``kernel`` is given.
-    """
-    i = env.strategy_index(a_i)
-    j = env.strategy_index(a_minus)
-    return float(env.payoff_matrix(G, kernel)[i, j])
-
-
-def best_responses(env: StageEnv, G, a_minus, kernel=None) -> list[str]:
-    """All strategies within tie tolerance of the best reply to ``a_minus``."""
-    j = env.strategy_index(a_minus)
-    return [env.strategies[i] for i in best_response_indices(env, G, j, kernel)]
-
-
-def best_response_indices(env: StageEnv, G, j: int, kernel=None) -> np.ndarray:
-    return np.flatnonzero(best_reply_mask(env.payoff_matrix(G, kernel)[:, j]))
+def best_response_indices(env: StageEnv, G, j: int) -> np.ndarray:
+    return np.flatnonzero(best_reply_mask(env.payoff_matrix(G)[:, j]))
 
 
 def min_tiebreak_best_response(env: StageEnv, G, a_i) -> str:
@@ -312,7 +261,7 @@ def symmetric_nash(env: StageEnv, G) -> SymmetricNashResult:
     An empty result is legal (flagged via ``exists``), not an error.
     """
     U = env.payoff_matrix(G)
-    eq = [a for a in range(env.n_strategies) if best_reply_mask(U[:, a])[a]]
+    eq = np.flatnonzero(np.diagonal(best_reply_mask(U))).tolist()
     if not eq:
         return SymmetricNashResult((), (), None)
     vals = np.array([U[a, a] for a in eq])

@@ -48,7 +48,7 @@ def validate_shares(shares) -> tuple[float, float]:
     """The two group shares as floats; raises unless they are nonnegative
     and sum to one within ``TOL``."""
     pa, pb = (float(s) for s in shares)
-    if min(pa, pb) < 0.0 or abs(pa + pb - 1.0) > TOL:
+    if not (pa >= 0.0 and pb >= 0.0 and abs(pa + pb - 1.0) <= TOL):
         raise ValueError("shares must be a two-point distribution over the groups")
     return pa, pb
 

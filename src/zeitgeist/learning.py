@@ -213,23 +213,6 @@ def _payoff_tables(model: Model, env: StageEnv) -> np.ndarray:
     return out
 
 
-def _consequence_cdf(kernel):
-    """``cdf(own, opp)``: the true kernel's cumulative consequence rows for
-    arrays of (own, opponent) action pairs.
-
-    A kernel with a dense ``table`` is cumulated whole, once.  Other kernels
-    (the Gaussian grid kernel never stores its (n, n, bins) table) have the
-    drawn rows stacked and cumulated at each call.  ``cumsum`` runs along
-    each row either way, so the rows are the same bits.
-    """
-    table = getattr(kernel, "table", None)
-    if table is not None:
-        cum = np.cumsum(table, axis=2)
-        return lambda own, opp: cum[own, opp]
-    return lambda own, opp: np.cumsum(
-        np.stack([kernel.row(i, j) for i, j in zip(own, opp)]), axis=1)
-
-
 def run_learning(env: StageEnv, model_a: Model, model_b: Model,
                  cfg: SimConfig) -> LearningTrajectory:
     """Simulate the two-group Bayesian learning process.
@@ -282,7 +265,8 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
                     log_post[g][:] = log_prior[g]
                     counts[g][:] = 0
             if gi not in cdfs:
-                cdfs[gi] = _consequence_cdf(env.kernels[gi])
+                cdfs[gi] = np.cumsum(
+                    [env.kernels[gi].rows_for_own(a) for a in range(n)], axis=2)
             cdf = cdfs[gi]
 
         # fixed draw order: exploration actions, exploration coin, opponent
@@ -321,7 +305,7 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
         a_own = act[np.arange(n_all), opp_group]
         a_opp = act[opp_idx, group_of]
 
-        cum = cdf(a_own, a_opp)
+        cum = cdf[a_own, a_opp]
         y = np.minimum((y_u[:, None] > cum).sum(axis=1), cum.shape[1] - 1)
         m = np.where(m_v < cfg.tau, a_opp, m_w)
 

@@ -100,13 +100,10 @@ def minimal_correct_model(env: StageEnv) -> Model:
     """Correctly specified model: the true kernel of every situation (deduplicated)."""
     kernels: list[object] = []
     labels: list[str] = []
-    for gi, G in enumerate(env.situations):
-        k = env.kernels[gi]
-        dup = None
-        for seen_i, seen in enumerate(kernels):
-            if isinstance(seen, DenseKernel) and isinstance(k, DenseKernel) and seen == k:
-                dup = seen_i
-                break
+    for k, G in zip(env.kernels, env.situations):
+        dup = next((s for s, seen in enumerate(kernels)
+                    if all(np.array_equal(seen.rows_for_own(i), k.rows_for_own(i))
+                           for i in range(env.n_strategies))), None)
         if dup is None:
             kernels.append(k)
             labels.append(G)
@@ -120,7 +117,7 @@ def singleton_model(env: StageEnv, kernel, label: str = "singleton") -> Model:
     """Dogmatic model with a single kernel (no fundamental uncertainty)."""
     if not hasattr(kernel, "row"):
         kernel = DenseKernel(kernel)
-    if getattr(kernel, "n_strategies", env.n_strategies) != env.n_strategies:
+    if kernel.n_strategies != env.n_strategies:
         raise ValueError("kernel strategy dimension mismatch")
     return _certainty_form_model(label, [kernel], [label], meta={"builder": "singleton"})
 
@@ -137,14 +134,13 @@ def illusion_of_control_model(env: StageEnv, perturb_eps: float = 1e-3) -> Model
     """
     if not np.isfinite(perturb_eps) or perturb_eps <= 0.0:
         raise ValueError("perturb_eps must be positive")
-    min_mass = min(
-        float(k.table[k.table > 0].min()) for k in env.kernels if isinstance(k, DenseKernel)
-    ) if all(isinstance(k, DenseKernel) for k in env.kernels) else 1.0
+    n, ny = env.n_strategies, len(env.consequences)
+    min_mass = min(float(rows[rows > 0].min())
+                   for k in env.kernels for rows in map(k.rows_for_own, range(n)))
     if perturb_eps >= min_mass:
         raise ValueError(
             f"perturb_eps {perturb_eps} must stay below the smallest positive kernel mass {min_mass}")
 
-    n, ny = env.n_strategies, len(env.consequences)
     uniform = np.full(ny, 1.0 / ny)
     kernels = []
     for G in env.situations:

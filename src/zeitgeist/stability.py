@@ -263,13 +263,13 @@ def singleton_fragility_check(env: StageEnv) -> SeparationResult:
 
     replies = [[best_response_indices(env, G, a_i) for a_i in range(n)]
                for G in env.situations]
+    pays = [env.payoff_matrix(G) for G in env.situations]
 
     rules = []
     points = []
     for b in itertools.product(range(n), repeat=n):
         vals = np.full(m, -np.inf)
-        for gi in range(m):
-            pi = env.payoff_matrix(gi)
+        for gi, pi in enumerate(pays):
             consistent = [pi[a_i, a_minus]
                           for a_i in range(n)
                           for a_minus in replies[gi][a_i]

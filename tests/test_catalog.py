@@ -15,6 +15,10 @@ def test_cournot_spec_validation():
         catalog.CournotSpec(10.0, 2.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         catalog.CournotSpec(10.0, 2.0, 1.0, -0.5)
+    with pytest.raises(ValueError):
+        catalog.CournotSpec(10.0, 2.0, float("nan"), 0.5)
+    with pytest.raises(ValueError):
+        catalog.CournotSpec(10.0, 2.0, 1.0, float("nan"))
 
 
 def test_cournot_closed_forms_exact():
@@ -53,6 +57,8 @@ def test_build_cournot_validates_inputs():
         catalog.build_cournot_discrete(spec, np.linspace(0.0, 5.0, 26), 100, 2.0)
     with pytest.raises(ValueError):
         catalog.build_cournot_discrete(spec, np.linspace(0.0, 8.0, 41), 100, 0.0)
+    with pytest.raises(ValueError):
+        catalog.build_cournot_discrete(spec, np.linspace(0.0, 8.0, 41), 100, float("nan"))
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +130,10 @@ def test_investment_spec_validation():
         catalog.InvestmentSpec(0.0, 5.5, 12.0)
     with pytest.raises(ValueError):
         catalog.InvestmentSpec(1.0, 5.5, 0.0)
+    with pytest.raises(ValueError):
+        catalog.InvestmentSpec(float("nan"), 5.5, 12.0)
+    with pytest.raises(ValueError):
+        catalog.InvestmentSpec(1.0, 5.5, float("nan"))
 
 
 def test_investment_data_matching_slopes():
@@ -179,6 +189,10 @@ def test_stopping_spec_validation():
         catalog.CentipedeSpec(10, 0.0, 2.0)
     with pytest.raises(ValueError):
         catalog.CentipedeSpec(10, 1.0, -1.0)
+    with pytest.raises(ValueError):
+        catalog.CentipedeSpec(10, float("nan"), 2.0)
+    with pytest.raises(ValueError):
+        catalog.CentipedeSpec(10, 1.0, float("nan"))
 
 
 def test_stopping_game_reference_point():
@@ -245,7 +259,8 @@ def test_dollar_variant_validation_and_dominance():
 
 def test_grid_kernel_payoff_matrix_follows_a_new_utility_array():
     edges = np.linspace(-5.0, 15.0, 21)
-    kern = catalog.GaussianGridKernel(np.array([0.0, 1.0, 2.0]), 1.0, 8.0, 2.0, edges)
+    kern = catalog.GaussianGridKernel(np.array([0.0, 1.0, 2.0]), 1.0, 8.0,
+                                      catalog.MassBank(edges, 2.0))
     rng = np.random.default_rng(5)
     utilities = [rng.normal(size=(3, 20)).tolist() for _ in range(50)]
     wants = [np.array([kern.rows_for_own(i) @ np.array(rows[i]) for i in range(3)])

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 from conftest import coordination_env, mismatch_env
-from zeitgeist import catalog, cli, config
+from zeitgeist import catalog, cli, config, reproduce
+from zeitgeist.games import StageEnv
 from zeitgeist.models import minimal_correct_model
 
 
@@ -137,6 +139,15 @@ def test_build_cournot_small_grid(tmp_path, capsys):
     assert rep["closed_form"]["a_BA"] == pytest.approx(4.0)
 
 
+def test_nan_inputs_are_input_errors(tmp_path, capsys):
+    env_path, model_path = _save_pair(coordination_env(), tmp_path)
+    assert cli.main(["solve-ez", "--env", env_path, "--model-a", model_path,
+                     "--model-b", model_path, "--shares", "nan,1",
+                     "--out", str(tmp_path / "run")]) == 1
+    assert cli.main(["centipede", "--k", "10", "--g", "nan", "--ell", "2"]) == 1
+    assert "nan" not in capsys.readouterr().out
+
+
 def test_centipede_command(capsys):
     assert cli.main(["centipede", "--k", "10", "--g", "1", "--ell", "2"]) == 0
     out = capsys.readouterr().out
@@ -192,6 +203,22 @@ def test_reproduce_subset(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "2/2 checks passed" in out
+
+
+def test_reproduce_table_catches_a_broken_fixture():
+    # the second situation made a shifted copy of the first: commitment no
+    # longer pays anywhere, so only the rows reading that fixture fail
+    s1, _ = catalog.two_situation_tables()
+    kernels = [np.stack([t, 1.0 - t], axis=2) for t in (s1, s1 + 0.05)]
+    broken = StageEnv(["a1", "a2", "a3"], ["success", "failure"], ["G1", "G2"],
+                      kernels, np.array([1.0, 0.0]))
+    rows = reproduce.run_all(example_env=broken)
+    assert {r.name: r.ok for r in rows} == {
+        "cournot": True, "separation": False, "fragility": False, "reversal": True,
+        "centipede": True, "dollar": True, "learning": True}
+    failed = {r.name: r.actual for r in rows if not r.ok}
+    assert "separable=False" in failed["separation"]
+    assert failed["fragility"] == "label=Ambiguous"
 
 
 def test_reproduce_unknown_check(capsys):

@@ -9,13 +9,11 @@ import zeitgeist
 from conftest import coordination_env, decision_env, mismatch_env
 from zeitgeist.games import (
     DenseKernel,
-    FitnessWeights,
     MonitoringStructure,
     StageEnv,
     as_weights,
+    best_reply_mask,
     best_response_indices,
-    best_responses,
-    expected_payoff,
     min_tiebreak_best_response,
     stackelberg,
     symmetric_nash,
@@ -29,6 +27,16 @@ def test_tie_tolerance_scales_with_magnitude():
     large = tie_tolerance(np.array([0.0, 1e6]))
     assert large > small
     assert tie_tolerance(np.array([0.0, 0.0])) > 0.0
+
+
+def test_best_reply_mask_cuts_each_column_at_its_own_scale():
+    # column 0's magnitude widens its slack to 1e-3; column 1 keeps 1e-9
+    pay = np.array([[1e6, 1.0],
+                    [1e6 - 1e-4, 1.0 - 1e-5]])
+    mask = best_reply_mask(pay)
+    assert mask.tolist() == [[True, True], [True, False]]
+    for j in range(2):
+        assert np.array_equal(best_reply_mask(pay[:, j]), mask[:, j])
 
 
 def test_validate_probability_row_rejects_bad_rows():
@@ -49,8 +57,6 @@ def test_probability_rows_reject_any_negative_entry():
         DenseKernel(table)
     with pytest.raises(ValueError, match=r"bad row at \(1,\)"):
         MonitoringStructure(("x", "y"), np.array([[1.0, 0.0], tiny]))
-    with pytest.raises(ValueError):
-        FitnessWeights(tiny)
     with pytest.raises(ValueError):
         as_weights(tiny.tolist(), 2)
     with pytest.raises(ValueError):
@@ -99,24 +105,6 @@ class TestDenseKernel:
         bad = np.full((2, 2, 2), 0.6)
         with pytest.raises(ValueError):
             DenseKernel(bad)
-
-    def test_opponent_independent(self):
-        dep = np.zeros((2, 2, 2))
-        dep[:, 0, 0] = 1.0
-        dep[:, 1, 1] = 1.0
-        indep = np.zeros((2, 2, 2))
-        indep[0, :, 0] = 1.0
-        indep[1, :, 1] = 1.0
-        assert not DenseKernel(dep).opponent_independent()
-        assert DenseKernel(indep).opponent_independent()
-
-    def test_equality_compares_tables(self):
-        t = np.zeros((2, 2, 2))
-        t[..., 0] = 1.0
-        assert DenseKernel(t) == DenseKernel(t.copy())
-        other = t.copy()
-        other[0, 0] = [0.0, 1.0]
-        assert DenseKernel(t) != DenseKernel(other)
 
 
 class TestMonitoring:
@@ -172,9 +160,8 @@ class TestStageEnv:
 
 def test_expected_payoff_and_best_responses():
     env = coordination_env()
-    assert expected_payoff(env, "G", "s1", "s1") == pytest.approx(3.0)
-    assert best_responses(env, "G", "s0") == ["s0"]
-    assert best_responses(env, "G", "s1") == ["s1"]
+    assert env.payoff_matrix("G")[1, 1] == pytest.approx(3.0)
+    assert np.array_equal(best_response_indices(env, "G", 0), [0])
     assert np.array_equal(best_response_indices(env, "G", 1), [1])
 
 
@@ -231,10 +218,8 @@ def test_stackelberg_adversarial_ties():
 
 
 def test_fitness_weights_validation():
-    w = FitnessWeights.uniform(3)
-    assert np.allclose(w.weights, [1 / 3] * 3)
     with pytest.raises(ValueError):
-        FitnessWeights(np.array([0.5, 0.6]))
+        as_weights(np.array([0.5, 0.6]), 2)
     assert np.allclose(as_weights(None, 2), [0.5, 0.5])
     assert np.allclose(as_weights([0.2, 0.8], 2), [0.2, 0.8])
     with pytest.raises(ValueError):
@@ -242,8 +227,8 @@ def test_fitness_weights_validation():
 
 
 def test_payoff_matrix_follows_a_new_utility_array():
-    # a fresh utility array may reuse a freed one's address; the cached
-    # matrix must still belong to the array passed in
+    # a fresh utility array may reuse a freed one's address; the matrix
+    # must still belong to the array passed in
     rng = np.random.default_rng(3)
     k = DenseKernel(rng.dirichlet(np.ones(3), size=(2, 2)))
     for _ in range(50):

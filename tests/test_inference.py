@@ -13,9 +13,22 @@ from zeitgeist.inference import (
     kl_profile_tables,
     member_cut,
     scale_kl,
+    validate_shares,
     weighted_kl,
 )
 from zeitgeist.models import Parameter, minimal_correct_model, singleton_model
+from zeitgeist.solver import enumerate_ez
+
+
+@pytest.mark.parametrize("shares", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan),
+                                    (-0.5, 1.5), (0.5, 0.6)])
+def test_validate_shares_rejects_nan_and_bad_shares(shares):
+    with pytest.raises(ValueError):
+        validate_shares(shares)
+    env = coordination_env()
+    model = minimal_correct_model(env)
+    with pytest.raises(ValueError):
+        enumerate_ez(env, model, model, shares)
 
 
 def test_kl_hand_value():

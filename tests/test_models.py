@@ -68,7 +68,8 @@ def test_illusion_of_control_bakes_replies_into_fundamentals():
     ny = len(env.consequences)
     for gi, G in enumerate(env.situations):
         k = warped.kernels[gi]
-        assert k.opponent_independent()
+        # opponent-independent: every opponent column holds the same row
+        assert np.array_equal(k.table, np.broadcast_to(k.table[:, :1], k.table.shape))
         for a in range(env.n_strategies):
             reply = env.strategy_index(min_tiebreak_best_response(env, G, a))
             want = (1 - eps) * env.kernel(G).row(a, reply) + eps / ny
