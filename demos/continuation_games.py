@@ -12,7 +12,7 @@ In the winner-take-all variant the pooled group dominates outright.
 import numpy as np
 
 from zeitgeist.catalog import CentipedeSpec, centipede_analysis, dollar_analysis
-from zeitgeist.stability import scan_stable_shares
+from zeitgeist.stability import affine_stable_shares
 
 spec = CentipedeSpec(K=10, g=1.0, l=2.0)
 report = centipede_analysis(spec)
@@ -27,8 +27,8 @@ print(f"fitted pooled stopping rate:        {report.analogy_minimizer_x:.4f} "
 print(f"match payoffs [[AA, AB], [BA, BB]]:\n{report.match_payoffs}")
 print(f"stable share of the pooled group:   {report.p_star_b:.4f}")
 
-scan = scan_stable_shares(report.share_fitness)
-print(f"grid scan agrees: fitness gap falls through zero at fine-group "
+scan = affine_stable_shares(report.share_fitness)
+print(f"one-cell scan agrees: fitness gap falls through zero at fine-group "
       f"share {scan.thresholds[0]:.4f} = 1 - {report.p_star_b:.2f}")
 
 print()

@@ -57,10 +57,9 @@ from .stability import (
     SeparationResult,
     StabilityVerdict,
     StableSharesResult,
+    affine_stable_shares,
     classify_stability,
     detect_reversal,
-    first_ez_selector,
-    scan_stable_shares,
     singleton_fragility_check,
     stable_shares,
 )
@@ -96,8 +95,8 @@ __all__ = [
     "verify_ez", "fitness", "situation_fitness", "conditional_fitness",
     "zeitgeist_summary", "render_summaries",
     "StabilityVerdict", "classify_stability", "ReversalResult",
-    "detect_reversal", "StableSharesResult", "scan_stable_shares",
-    "stable_shares", "first_ez_selector", "SeparationResult",
+    "detect_reversal", "StableSharesResult", "stable_shares",
+    "affine_stable_shares", "SeparationResult",
     "singleton_fragility_check",
     "SimConfig", "Policy", "LearningTrajectory", "run_learning",
     "ComparisonReport", "compare_to_ez",

@@ -417,6 +417,8 @@ class InvestmentSpec:
             raise ValueError("price slope b must be positive")
         if not self.m > 0:
             raise ValueError("discount offset m must be positive")
+        if not np.isfinite(self.c):
+            raise ValueError("investment cost c must be finite")
 
     def b_star(self, a_i: int, a_j: int) -> float:
         return self.b + self.m / (a_i + a_j)
@@ -440,6 +442,8 @@ def build_investment_game(spec: InvestmentSpec, noise_sd: float = 2.0):
     b + m/3, b + m/4 exactly, plus padding on both sides.  Prices live on
     an integer lattice with a discrete Gaussian of sd ``noise_sd``.
     """
+    if not 0.0 < noise_sd < np.inf:
+        raise ValueError("noise_sd must be positive and finite")
     b, c, m = spec.b, spec.c, spec.m
     flags = []
     dominance_ok = 5.0 * b < c < 6.0 * b
@@ -734,8 +738,7 @@ class StoppingReport:
 
     def share_fitness(self, p_a: float):
         """(fitness A, fitness B) at group A's share, or None at every share
-        when the profile does not apply; a gap source for
-        ``scan_stable_shares``."""
+        when the profile does not apply; ``affine_stable_shares`` takes it."""
         if not self.applies:
             return None
         return float(self.fitness_a(p_a)), float(self.fitness_b(p_a))

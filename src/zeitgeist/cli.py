@@ -34,8 +34,8 @@ from .learning import compare_to_ez, run_learning
 from .models import check_identifiability
 from .reproduce import render_table, rows_to_dicts, run_all
 from .solver import enumerate_ez, render_summaries, zeitgeist_summary
-from .stability import DEFAULT_EPS_LIST, classify_stability, detect_reversal, \
-    scan_stable_shares, singleton_fragility_check
+from .stability import DEFAULT_EPS_LIST, affine_stable_shares, classify_stability, \
+    detect_reversal, singleton_fragility_check, stable_shares
 
 EXIT_OK, EXIT_ERROR, EXIT_EMPTY = 0, 1, 2
 
@@ -207,6 +207,7 @@ def cmd_build_investment(args, man):
     save_model(model_a, man.path_for("model_a.yaml"))
     save_model(model_b, man.path_for("model_b.yaml"))
     rev = detect_reversal(env, model_a, model_b)
+    bands = stable_shares(env, model_a, model_b).no_state_bands
     return "report", [
         ("spec", vars(spec), None),
         ("b_star", {"s11": report.b_star_11, "s12": report.b_star_12,
@@ -220,6 +221,8 @@ def cmd_build_investment(args, man):
          sorted({z.outcomes[0].quadruple for z in rev.states_resident_a}), None),
         ("play_resident_b",
          sorted({z.outcomes[0].quadruple for z in rev.states_resident_b}), None),
+        ("no_state_bands", [{"lo": lo, "hi": hi} for lo, hi in bands],
+         "no state for group-A share in ({lo:.6g}, {hi:.6g})"),
     ], EXIT_OK
 
 
@@ -255,7 +258,7 @@ def cmd_centipede(args, man):
         ("pooled_rate", rep.analogy_minimizer_x, "pooled stopping rate: {:.9g}"),
         ("match_payoffs", rep.match_payoffs, "match payoffs [[AA, AB], [BA, BB]]: {}"),
         ("p_star_b", rep.p_star_b, "minimal stable share of the coarse group: {}"),
-        ("scan_thresholds", scan_stable_shares(rep.share_fitness).thresholds,
+        ("scan_thresholds", affine_stable_shares(rep.share_fitness).thresholds,
          "scan agrees: gap falls through zero at fine-group share {0[0]:.9g}"),
     ], EXIT_OK
 

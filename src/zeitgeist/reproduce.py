@@ -23,8 +23,8 @@ from .learning import SimConfig, compare_to_ez, run_learning
 from .models import check_identifiability, illusion_of_control_model, \
     minimal_correct_model
 from .solver import enumerate_ez
-from .stability import classify_stability, detect_reversal, \
-    scan_stable_shares, singleton_fragility_check
+from .stability import affine_stable_shares, classify_stability, detect_reversal, \
+    singleton_fragility_check
 
 LEARNING_SEED = 20240901
 
@@ -110,7 +110,7 @@ def _check_centipede() -> CheckRow:
     t0 = time.time()
     spec = catalog.CentipedeSpec(10, 1.0, 2.0)
     rep = catalog.centipede_analysis(spec)
-    scan = scan_stable_shares(rep.share_fitness)
+    scan = affine_stable_shares(rep.share_fitness)
     p_b = 1.0 - scan.thresholds[0] if scan.thresholds else float("nan")
     got = (rep.maximal_continuation_verified, rep.analogy_minimizer_x, p_b)
     ok = (rep.maximal_continuation_verified

@@ -4,7 +4,9 @@ A resident group carrying one model is invaded by a small entrant group
 carrying another.  Classification asks whether the resident's objective
 fitness beats the entrant's across every self-confirming state at every
 invasion size in a list; reversal asks whether conditional-fitness rankings
-at the two extreme share points flip; the separation check asks whether the
+at the two extreme share points flip; share cells split group A's share
+where the state list can change and report where the resident-minus-entrant
+gap falls through zero; the separation check asks whether the
 symmetric-equilibrium payoff profile of a correctly specified resident can
 be strictly protected, by some weighting of situations, against every
 dogmatic single-kernel entrant.
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import TOL, StageEnv, as_weights, best_response_indices, symmetric_nash
+from .games import (TOL, StageEnv, as_weights, best_response_indices, slack,
+                    symmetric_nash)
 from .solver import (SituationProblem, Zeitgeist, conditional_fitness,
                      fitness, situation_fitness, solve_states)
 
@@ -146,81 +149,114 @@ def detect_reversal(env: StageEnv, model_a, model_b) -> ReversalResult:
 
 @dataclass(frozen=True)
 class StableSharesResult:
-    thresholds: tuple[float, ...]   # group-A shares where the gap crosses + to -
-    grid: np.ndarray
-    gaps: np.ndarray                # resident minus entrant; nan where undefined
+    """Share cells of group A and the shares where the gap falls through zero.
+
+    Cell i spans ``ends[i]`` to ``ends[i + 1]`` (the shares 0 and 1 are
+    cells of zero width); ``lines[i]`` is its resident-minus-entrant gap
+    c0 + c1 p as (c0, c1), None where it has no state.  A threshold is the
+    ``root`` of a cell's line or a ``jump`` across a cell end."""
+
+    thresholds: tuple[float, ...]
+    labels: tuple[str, ...]
+    ends: tuple[float, ...]
+    lines: tuple[tuple[float, float] | None, ...]
+
+    @property
+    def gaps(self) -> np.ndarray:
+        """The gap at both ends of every cell, where a piecewise-affine gap
+        takes its extremes; nan where a cell has no state."""
+        return np.array([[np.nan, np.nan] if line is None else
+                         [line[0] + line[1] * p for p in self.ends[i:i + 2]]
+                         for i, line in enumerate(self.lines)])
+
+    @property
+    def no_state_bands(self) -> tuple[tuple[float, float], ...]:
+        """Maximal runs of adjacent cells without a state, as (lo, hi)."""
+        cells = zip(self.ends[:-1], self.ends[1:], self.lines)
+        runs = [list(run) for empty, run in
+                itertools.groupby(cells, key=lambda cell: cell[2] is None) if empty]
+        return tuple((run[0][0], run[-1][1]) for run in runs)
 
 
-def first_ez_selector(env: StageEnv, model_a, model_b, q=None):
-    """Fitness pair of the first state in enumeration order, as a function
-    of group A's share; None when no state exists.  The situation problems
-    are built once, here, and solved at every share."""
-    problems = [SituationProblem(env, model_a, model_b, G)
-                for G in env.situations]
-
-    def select(p_a: float):
-        states = solve_states(problems, (p_a, 1.0 - p_a))
-        if not states:
-            return None
-        f = fitness(states[0], env, q)
-        return float(f[0]), float(f[1])
-    return select
-
-
-def scan_stable_shares(gap_source, grid=None) -> StableSharesResult:
-    """Shares where the resident-minus-entrant gap falls through zero.
-
-    ``gap_source`` maps group A's share to a (fitness A, fitness B) pair or
-    None.  Only downward crossings count: a positive gap at a lower share
-    followed by a negative gap at a higher one, refined by bisection to
-    ``TOL``.  A gap that merely touches zero is not a crossing.
-    """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
-    grid = np.asarray(grid, dtype=float)
-    gaps = np.full(len(grid), np.nan)
-    for idx, p in enumerate(grid):
-        pair = gap_source(float(p))
-        if pair is not None:
-            gaps[idx] = pair[0] - pair[1]
-
-    def refine(lo: float, hi: float) -> float:
-        # invariant: gap(lo) > 0, gap(hi) <= 0 with a negative beyond
-        while hi - lo > TOL:
-            mid = 0.5 * (lo + hi)
-            pair = gap_source(mid)
-            if pair is None:
-                break
-            if pair[0] - pair[1] > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    thresholds = []
-    last_pos = None                 # index of latest positive gap, still live
-    for idx in range(len(grid)):
-        g = gaps[idx]
-        if np.isnan(g):
+def _scan_cells(ends, lines) -> StableSharesResult:
+    """Walk the cells upward and record each downward crossing: a positive
+    gap followed, past zero gaps and stateless cells, by a negative one."""
+    found, last = [], None          # last: (share, label) ending the latest positive run
+    for lo, hi, line in zip(ends[:-1], ends[1:], lines):
+        if line is None:
             continue
-        if g > 0.0:
-            last_pos = idx
-        elif g < 0.0:
-            if last_pos is not None:
-                thresholds.append(refine(float(grid[last_pos]), float(grid[idx])))
-            last_pos = None
-    return StableSharesResult(tuple(thresholds), grid, gaps)
+        c0, c1 = line
+        tol = slack(abs(c0) + abs(c1))
+        start, end = c0 + c1 * lo, c0 + c1 * hi
+        if start > tol:
+            last = (hi, "jump") if end > tol else (-c0 / c1, "root")
+        if last is not None and min(start, end) < -tol:
+            found.append(last)
+            last = None
+        if end > tol:
+            last = (hi, "jump")
+    return StableSharesResult(tuple(float(t) for t, _ in found),
+                              tuple(label for _, label in found), tuple(ends), tuple(lines))
 
 
-def stable_shares(env: StageEnv, model_a, model_b, q=None,
-                  grid_n: int = 101) -> StableSharesResult:
-    """Stable group-A shares for two finite models over a uniform share grid,
-    tracking the first state in enumeration order (``first_ez_selector``);
-    other gap sources go to ``scan_stable_shares`` directly."""
-    if grid_n < 10:
-        raise ValueError("grid_n must be at least 10")
-    return scan_stable_shares(first_ez_selector(env, model_a, model_b, q),
-                              np.linspace(0.0, 1.0, grid_n))
+def _gap_line(fitness_at) -> tuple[float, float]:
+    """(c0, c1) of the gap c0 + c1 p of a fitness pair affine in p."""
+    g0, g1 = (float(fa - fb) for fa, fb in (fitness_at(0.0), fitness_at(1.0)))
+    return g0, g1 - g0
+
+
+def affine_stable_shares(fitness_at) -> StableSharesResult:
+    """``stable_shares`` for a fitness pair affine in group A's share on all
+    of [0, 1], one cell; ``fitness_at`` maps a share to (fitness A,
+    fitness B), or to None at every share when no state applies."""
+    line = None if fitness_at(0.0) is None else _gap_line(fitness_at)
+    return _scan_cells((0.0, 1.0), (line,))
+
+
+def share_cell_ends(problems: list[SituationProblem]) -> tuple[float, ...]:
+    """Cell ends of prebuilt situation problems: 0 and 1 twice each, and
+    every share in (0, 1) where two finite objective lines of a group cross
+    on their lower envelope, for any triple, merged within ``TOL``.
+
+    Parameter t's line at own share w is cross + w (diag - cross) on the
+    triple axes [x, y, z], and group B's own share is 1 - p_A.  A line with
+    an infinite term is never a candidate for the envelope."""
+    cuts = []
+    for problem in problems:
+        for g, tables in enumerate(problem.groups):
+            icpt = tables.cross[:, None]                           # [t, 1, y, z]
+            slope = tables.diag[:, :, None, None] - icpt           # [t, x, y, z]
+            inf = tables.inf_own[:, :, None, None] | tables.inf_cross[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):   # w: [t, s, x, y, z]
+                w = (icpt[None] - icpt[:, None]) / (slope[:, None] - slope[None])
+            w = np.where((w > 0.0) & (w < 1.0) & ~inf[:, None] & ~inf[None], w, np.nan)
+            best = np.full(w.shape, np.inf)
+            for r in range(tables.n_params):
+                best = np.minimum(best, np.where(inf[r], np.inf, icpt[r] + w * slope[r]))
+            w = w[icpt[:, None] + w * slope[:, None] <= best + slack(np.abs(best))]
+            cuts += list(1.0 - w if g else w)
+    cuts = np.unique([w for w in cuts if TOL < w < 1.0 - TOL])
+    cuts = cuts[np.diff(cuts, prepend=-1.0) > TOL]
+    return (0.0, 0.0, *(float(w) for w in cuts), 1.0, 1.0)
+
+
+def stable_shares(env: StageEnv, model_a, model_b, q=None) -> StableSharesResult:
+    """Share cells of two finite models and the thresholds of the first
+    state's gap in enumeration order.
+
+    Each group's objective is affine in the shares and its best-reply
+    tables do not depend on them, so the state list can change only at a
+    cell end (``share_cell_ends``).  Each cell is solved once, at its
+    midpoint; interior ends are never solved."""
+    problems = [SituationProblem(env, model_a, model_b, G) for G in env.situations]
+    ends = share_cell_ends(problems)
+    lines = []
+    for p in np.add(ends[:-1], ends[1:]) / 2.0:
+        states = solve_states(problems, (p, 1.0 - p))
+        lines.append(_gap_line(
+            lambda s: fitness(Zeitgeist((s, 1.0 - s), states[0].outcomes), env, q))
+            if states else None)
+    return _scan_cells(ends, lines)
 
 
 @dataclass(frozen=True)

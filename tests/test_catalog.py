@@ -5,7 +5,7 @@ from scipy.optimize import minimize_scalar
 from zeitgeist import catalog
 from zeitgeist.games import StageEnv, stackelberg, symmetric_nash
 from zeitgeist.models import check_identifiability
-from zeitgeist.solver import verify_ez
+from zeitgeist.solver import enumerate_ez, verify_ez
 
 
 def test_cournot_spec_validation():
@@ -112,6 +112,26 @@ def test_discrete_duopoly_requires_builder_env(cournot_51):
         catalog.cournot_discrete_ez(bare, model_a, model_b, (1.0, 0.0))
 
 
+@pytest.mark.parametrize("bins", [60, 200])
+@pytest.mark.parametrize("shares", [(1.0, 0.0), (0.0, 1.0)])
+def test_duopoly_scan_matches_generic_enumeration(bins, shares):
+    # two independent code paths: the direct scan and the generic enumerator
+    spec = catalog.CournotSpec(10.0, 2.0, 1.0, 0.5)
+    env, model_a, model_b = catalog.build_cournot_discrete(
+        spec, np.linspace(0.0, 8.0, 11), bins, 2.0)
+    direct = catalog.cournot_discrete_ez(env, model_a, model_b, shares)
+    generic = enumerate_ez(env, model_a, model_b, shares)
+
+    def keys(states):
+        return sorted((o.quadruple, o.belief_a.tobytes(), o.belief_b.tobytes(),
+                       tuple((c.br_slack_own, c.br_slack_cross)
+                             for c in verify_ez(z, env, model_a, model_b)[1].checks))
+                      for z in states for o in z.outcomes)
+
+    assert len(direct) >= 2
+    assert keys(direct) == keys(generic)
+
+
 def test_discrete_duopoly_grid_refinement():
     spec = catalog.CournotSpec(10.0, 2.0, 1.0, 0.5)
     errs = []
@@ -134,6 +154,17 @@ def test_investment_spec_validation():
         catalog.InvestmentSpec(float("nan"), 5.5, 12.0)
     with pytest.raises(ValueError):
         catalog.InvestmentSpec(1.0, 5.5, float("nan"))
+
+
+def test_investment_rejects_nan_cost_and_noise():
+    # a NaN cost used to pass into both warnings, and a NaN noise sd died
+    # in the lattice's int(floor(nan))
+    with pytest.raises(ValueError, match="cost"):
+        catalog.InvestmentSpec(1.0, float("nan"), 12.0)
+    spec = catalog.InvestmentSpec(1.0, 5.5, 12.0)
+    for sd in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="noise_sd"):
+            catalog.build_investment_game(spec, sd)
 
 
 def test_investment_data_matching_slopes():

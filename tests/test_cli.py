@@ -320,12 +320,16 @@ def test_build_investment_reports_reversal(tmp_path, capsys):
     doc = _read_yaml(out / "report.yaml")
     assert list(doc) == ["spec", "b_star", "dominance_ok", "entry_play_ok",
                          "flags", "reversal", "play_resident_a",
-                         "play_resident_b"]
+                         "play_resident_b", "no_state_bands"]
     assert doc["b_star"] == {"s11": 7.0, "s12": 5.0, "s22": 4.0}
     assert doc["dominance_ok"] is True and doc["entry_play_ok"] is True
     assert doc["reversal"] is True and doc["flags"] == []
     assert doc["play_resident_a"] == [[0, 0, 1, 1]]
     assert doc["play_resident_b"] == [[0, 0, 0, 1]]
+    # the paper's share result: no state while residents hold 4/9 to 16/25
+    (band,) = doc["no_state_bands"]
+    assert (band["lo"], band["hi"]) == (pytest.approx(4 / 9), pytest.approx(16 / 25))
+    assert "no state for group-A share in (0.444444, 0.64)" in capsys.readouterr().out
 
 
 def test_build_two_situation_identifies_situations(tmp_path, capsys):

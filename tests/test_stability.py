@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import coordination_env, decision_env, mismatch_env
+from conftest import (coordination_env, decision_env, mismatch_env, random_env,
+                      random_model)
 from zeitgeist import catalog, stability
+from zeitgeist.games import TOL
 from zeitgeist.models import illusion_of_control_model, minimal_correct_model
+from zeitgeist.solver import SituationProblem
 from zeitgeist.stability import (
+    affine_stable_shares,
     classify_stability,
     detect_reversal,
-    first_ez_selector,
-    scan_stable_shares,
     singleton_fragility_check,
     stable_shares,
 )
@@ -122,34 +124,42 @@ def _affine_source(intercept, slope):
 
 
 def test_scan_finds_downward_crossing():
-    res = scan_stable_shares(_affine_source(0.5, -1.0))
+    res = affine_stable_shares(_affine_source(0.5, -1.0))
     assert len(res.thresholds) == 1
     assert res.thresholds[0] == pytest.approx(0.5, abs=1e-8)
 
 
 def test_scan_ignores_upward_crossing():
-    res = scan_stable_shares(_affine_source(-0.5, 1.0))
+    res = affine_stable_shares(_affine_source(-0.5, 1.0))
     assert res.thresholds == ()
 
 
 def test_scan_ignores_touching_zero():
-    def source(p):
-        return (p - 0.5) ** 2, 0.0
-    res = scan_stable_shares(source)
+    # two cells whose lines meet zero at their common end and rise again
+    res = stability._scan_cells((0.0, 0.5, 1.0), ((0.5, -1.0), (-0.5, 1.0)))
     assert res.thresholds == ()
 
 
 def test_scan_skips_undefined_shares():
-    def source(p):
-        if 0.4 < p < 0.6:
-            return None
-        return 0.5 - p, 0.0
-    res = scan_stable_shares(source)
+    # the gap is positive, then undefined on (0.4, 0.6), then negative
+    res = stability._scan_cells((0.0, 0.4, 0.6, 1.0),
+                                ((0.5, -1.0), None, (0.5, -1.0)))
     assert len(res.thresholds) == 1
     # the crossing hides inside the undefined band, so the estimate can only
     # be located to that band
     assert 0.39 <= res.thresholds[0] <= 0.61
-    assert np.isnan(res.gaps[45])
+    assert res.labels == ("jump",)
+    assert np.isnan(res.gaps[1]).all()
+    assert res.no_state_bands == ((0.4, 0.6),)
+
+
+def test_scan_labels_roots_and_jumps():
+    # a root inside the first cell; then a positive cell ending at 0.7
+    # followed by a negative one: a downward jump at their common end
+    res = stability._scan_cells((0.0, 0.5, 0.7, 1.0),
+                                ((0.2, -1.0), (-1.0, 2.0), (-1.0, 0.0)))
+    assert res.thresholds == pytest.approx((0.2, 0.7))
+    assert res.labels == ("root", "jump")
 
 
 def test_scan_matches_stopping_game_closed_form():
@@ -165,38 +175,106 @@ def test_scan_matches_stopping_game_closed_form():
         report = catalog.centipede_analysis(spec)
         if not report.maximal_continuation_verified:
             continue
-        res = scan_stable_shares(report.share_fitness)
+        res = affine_stable_shares(report.share_fitness)
         assert len(res.thresholds) == 1
         assert res.thresholds[0] == pytest.approx(1.0 - report.p_star_b, abs=1e-8)
         checked += 1
 
 
 def test_dollar_variant_never_crosses():
-    res = scan_stable_shares(catalog.dollar_analysis(10).share_fitness)
+    res = affine_stable_shares(catalog.dollar_analysis(10).share_fitness)
     assert res.thresholds == ()
     assert np.all(res.gaps > 0.0)
-
-
-def test_stable_shares_validation():
-    env = coordination_env()
-    model = minimal_correct_model(env)
-    with pytest.raises(ValueError):
-        stable_shares(env, model, model, grid_n=5)
 
 
 def test_stable_shares_flat_gap_has_no_threshold():
     env = coordination_env()
     model = minimal_correct_model(env)
-    res = stable_shares(env, model, model, grid_n=21)
+    res = stable_shares(env, model, model)
     assert res.thresholds == ()
     assert np.nanmax(np.abs(res.gaps)) <= 1e-12
 
 
-def test_selector_returns_none_without_states():
+def test_stable_shares_without_states_is_one_band():
     env = mismatch_env()
     model = minimal_correct_model(env)
-    select = first_ez_selector(env, model, model)
-    assert select(0.5) is None
+    res = stable_shares(env, model, model)
+    assert res.thresholds == ()
+    assert all(line is None for line in res.lines)
+    assert res.no_state_bands == ((0.0, 1.0),)
+
+
+def _scan_pairs():
+    env_c = catalog.build_two_situation_game()
+    env_i, ia, ib, _ = catalog.build_investment_game(catalog.InvestmentSpec(1.0, 5.5, 12.0))
+    return [(env_c, minimal_correct_model(env_c), illusion_of_control_model(env_c)),
+            (env_i, ia, ib)]
+
+
+def _outcome_keys(problems, p):
+    return [[(o.quadruple, o.belief_a.tobytes(), o.belief_b.tobytes(),
+              o.minimizers_a, o.minimizers_b) for o in problem.solve((p, 1.0 - p))]
+            for problem in problems]
+
+
+def test_cells_hold_one_state_list():
+    # at every grid share more than slack from every cell end, the states
+    # equal those at the cell's midpoint, beliefs byte for byte.  Random
+    # perfect-monitoring models with fixed conjectures give infinite terms.
+    # Draws that reach the LP often cost up to a second each, so the seed
+    # and count keep this test near one second.
+    rng = np.random.default_rng(1)
+    cases = [(*case, np.linspace(0.0, 1.0, 101)) for case in _scan_pairs()]
+    for _ in range(20):
+        env = random_env(rng, n_strategies=int(rng.integers(2, 5)),
+                         n_situations=int(rng.integers(1, 3)))
+        cases.append((env, random_model(rng, env, int(rng.integers(2, 7)), "a"),
+                      random_model(rng, env, int(rng.integers(2, 7)), "b"),
+                      np.linspace(0.0, 1.0, 11)))
+    compared = multi_cell = infinite = 0
+    for env, ma, mb, grid in cases:
+        problems = [SituationProblem(env, ma, mb, G) for G in env.situations]
+        ends = np.array(stability.share_cell_ends(problems))
+        multi_cell += len(ends) > 4
+        infinite += any(t.inf_cross.any() for pr in problems for t in pr.groups)
+        at_mid = {}
+        for p in grid:
+            if np.min(np.abs(ends - p)) <= TOL:
+                continue
+            i = int(np.searchsorted(ends, p)) - 1
+            if i not in at_mid:
+                at_mid[i] = _outcome_keys(problems, 0.5 * (ends[i] + ends[i + 1]))
+            assert _outcome_keys(problems, p) == at_mid[i]
+            compared += 1
+    assert multi_cell >= 16 and infinite >= 10 and compared >= 350
+
+
+def test_investment_band_matches_the_paper():
+    # entrants (group B) out-earn the residents only as a majority: below
+    # the no-state band the gap is -0.5 + 0.5 p, negative until p_B < 5/9;
+    # above it, 0.5 + p
+    env, ia, ib = _scan_pairs()[1]
+    res = stable_shares(env, ia, ib)
+    assert res.thresholds == ()
+    assert res.no_state_bands == (pytest.approx((4 / 9, 16 / 25), abs=TOL),)
+    lo, hi = res.no_state_bands[0]
+    for a, b, line in zip(res.ends[:-1], res.ends[1:], res.lines):
+        if b <= lo:
+            assert line == pytest.approx((-0.5, 0.5), abs=1e-12)
+        elif a >= hi:
+            assert line == pytest.approx((0.5, 1.0), abs=1e-12)
+    assert res.ends[:4] == pytest.approx((0.0, 0.0, 1 / 9, 4 / 13), abs=TOL)
+    assert res.ends[4:8] == pytest.approx((4 / 9, 5 / 9, 16 / 25, 8 / 9), abs=TOL)
+
+
+def test_commitment_threshold_is_a_root():
+    env, ma, mb = _scan_pairs()[0]
+    res = stable_shares(env, ma, mb)
+    assert res.thresholds == (pytest.approx(39 / 49, abs=TOL),)
+    assert res.labels == ("root",)
+    assert len(res.ends) == 14 + 4
+    (band,) = res.no_state_bands
+    assert band == pytest.approx((0.0, 0.404748), abs=1e-6)
 
 
 def test_commitment_payoffs_are_separable():
