@@ -157,8 +157,8 @@ def test_investment_spec_validation():
 
 
 def test_investment_rejects_nan_cost_and_noise():
-    # a NaN cost used to pass into both warnings, and a NaN noise sd died
-    # in the lattice's int(floor(nan))
+    # NaN must fail at the edge: a NaN cost would reach both construction
+    # warnings, and a NaN noise sd the lattice's int(floor(nan))
     with pytest.raises(ValueError, match="cost"):
         catalog.InvestmentSpec(1.0, float("nan"), 12.0)
     spec = catalog.InvestmentSpec(1.0, 5.5, 12.0)
