@@ -6,10 +6,8 @@ In an alternating-move stopping game, one group pools the opponent's
 nodes by parity and fits a single stopping rate to what it sees.  If the
 pie grows fast enough, the pooled view sustains continuation to the end,
 and a population mixing the two groups has an interior stable share.
-In the winner-take-all variant the pooled group dominates outright.
+In the winner-take-all variant the fine group dominates outright.
 """
-
-import numpy as np
 
 from zeitgeist.catalog import CentipedeSpec, centipede_analysis, dollar_analysis
 from zeitgeist.stability import affine_stable_shares
@@ -27,16 +25,14 @@ print(f"fitted pooled stopping rate:        {report.analogy_minimizer_x:.4f} "
 print(f"match payoffs [[AA, AB], [BA, BB]]:\n{report.match_payoffs}")
 print(f"stable share of the pooled group:   {report.p_star_b:.4f}")
 
-scan = affine_stable_shares(report.share_fitness)
+scan = affine_stable_shares(report.line_payoffs)
 print(f"one-cell scan agrees: fitness gap falls through zero at fine-group "
       f"share {scan.thresholds[0]:.4f} = 1 - {report.p_star_b:.2f}")
 
 print()
 for K in (6, 8, 10, 12):
-    rep = dollar_analysis(K)
-    grid = np.linspace(0.0, 1.0, 101)
-    gap = rep.gap(grid)
+    gaps = affine_stable_shares(dollar_analysis(K).line_payoffs).gaps
     print(f"winner-take-all K={K:>2}: fine group ahead at every share "
-          f"(min gap {gap.min():.3f})")
+          f"(min gap {gaps.min():.3f})")
 print("\nwith the whole forgone pie handed to the opponent, pooling never")
 print("reaches a stable interior mix; the fine group simply wins.")

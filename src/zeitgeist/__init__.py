@@ -46,8 +46,8 @@ from .solver import (
     enumerate_ez,
     enumerate_situation_ez,
     fitness,
+    match_payoffs,
     render_summaries,
-    situation_fitness,
     verify_ez,
     zeitgeist_summary,
 )
@@ -92,7 +92,7 @@ __all__ = [
     "minimal_correct_model", "singleton_model", "illusion_of_control_model",
     "Zeitgeist", "SituationOutcome", "SituationProblem",
     "enumerate_situation_ez", "enumerate_ez",
-    "verify_ez", "fitness", "situation_fitness", "conditional_fitness",
+    "verify_ez", "fitness", "match_payoffs", "conditional_fitness",
     "zeitgeist_summary", "render_summaries",
     "StabilityVerdict", "classify_stability", "ReversalResult",
     "detect_reversal", "StableSharesResult", "stable_shares",

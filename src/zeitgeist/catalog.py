@@ -22,6 +22,7 @@ import numpy as np
 from .games import TOL, DenseKernel, StageEnv, best_reply_mask, slack
 from .models import Model, _certainty_form_model, singleton_model
 from .solver import SituationOutcome, Zeitgeist, verify_ez
+from .stability import beats_both
 
 # ---------------------------------------------------------------------------
 # duopoly closed forms
@@ -55,8 +56,15 @@ class CournotClosedForm:
     a_AA: float                # symmetric resident quantity
     resident_fitness: float
     a_stack: float             # quantity a leader would commit to
-    a_BA: float                # entrant quantity against residents, at spec.r_hat
-    entrant_fitness: float
+
+    @property
+    def a_BA(self) -> float:
+        """Entrant quantity against residents, at spec.r_hat."""
+        return self.a_BA_at(self.spec.r_hat)
+
+    @property
+    def entrant_fitness(self) -> float:
+        return self.entrant_fitness_at(self.spec.r_hat)
 
     def a_BA_at(self, r_hat: float) -> float:
         s = self.spec
@@ -74,17 +82,9 @@ class CournotClosedForm:
 
 def cournot_closed_form(spec: CournotSpec) -> CournotClosedForm:
     gain = spec.beta - spec.c
-    a_aa = gain / (3.0 * spec.r)
-    a_ba = gain / (2.0 * spec.r_hat + spec.r)
-    form = CournotClosedForm(
-        spec=spec,
-        a_AA=a_aa,
-        resident_fitness=gain * gain / (9.0 * spec.r),
-        a_stack=gain / (2.0 * spec.r),
-        a_BA=a_ba,
-        entrant_fitness=0.5 * (a_ba * gain - a_ba * a_ba * spec.r),
-    )
-    return form
+    return CournotClosedForm(spec=spec, a_AA=gain / (3.0 * spec.r),
+                             resident_fitness=gain * gain / (9.0 * spec.r),
+                             a_stack=gain / (2.0 * spec.r))
 
 
 # ---------------------------------------------------------------------------
@@ -715,33 +715,21 @@ def _pooled_rate(K: int) -> float:
 
 @dataclass(frozen=True)
 class StoppingReport:
-    """Maximal-continuation profile of a stopping ladder and its fitness lines."""
+    """Maximal-continuation profile of a stopping ladder and its match payoffs."""
 
     maximal_continuation_verified: bool
     binding_margin: float
-    match_payoffs: np.ndarray          # (group, opponent group)
+    match_payoffs: np.ndarray          # m[g, h]: group g against group h
 
     @property
     def applies(self) -> bool:
         return self.maximal_continuation_verified
 
-    def fitness_a(self, p):
-        p = np.asarray(p, dtype=float)
-        return p * self.match_payoffs[0, 0] + (1.0 - p) * self.match_payoffs[0, 1]
-
-    def fitness_b(self, p):
-        p = np.asarray(p, dtype=float)
-        return p * self.match_payoffs[1, 0] + (1.0 - p) * self.match_payoffs[1, 1]
-
-    def gap(self, p):
-        return self.fitness_a(p) - self.fitness_b(p)
-
-    def share_fitness(self, p_a: float):
-        """(fitness A, fitness B) at group A's share, or None at every share
-        when the profile does not apply; ``affine_stable_shares`` takes it."""
-        if not self.applies:
-            return None
-        return float(self.fitness_a(p_a)), float(self.fitness_b(p_a))
+    @property
+    def line_payoffs(self) -> np.ndarray | None:
+        """``match_payoffs`` where the profile applies, else None: what
+        ``affine_stable_shares`` takes."""
+        return self.match_payoffs if self.applies else None
 
 
 @dataclass(frozen=True)
@@ -803,7 +791,6 @@ def dollar_analysis(K: int) -> DollarReport:
     verified, margin = _verify_profile(game, _pooled_rate(K))
     m = _match_payoffs(game)
     # both fitness lines are affine in the share, so group A is ahead at
-    # every share exactly when it is ahead at both ends
-    dominance = bool(m[0, 0] > m[1, 0] and m[0, 1] > m[1, 1])
+    # every share exactly when it is ahead against both groups
     return DollarReport(maximal_continuation_verified=verified, binding_margin=margin,
-                        match_payoffs=m, K=K, dominance_flag=dominance)
+                        match_payoffs=m, K=K, dominance_flag=beats_both(m))

@@ -130,12 +130,11 @@ def cmd_solve_ez(args, man):
     shares = _floats(args.shares, "--shares", 2)
     q = _floats(args.q, "--q") if args.q else None
     states = enumerate_ez(env, model_a, model_b, shares)
-    summaries = [zeitgeist_summary(z, env, model_a, model_b, q) for z in states]
     return "ez", [
         ("shares", shares, None),
         ("count", len(states), None),
-        ("states", summaries,
-         lambda _: render_summaries(states, env, model_a, model_b, q)),
+        ("states", [zeitgeist_summary(z, env, model_a, model_b, q) for z in states],
+         render_summaries),
     ], EXIT_OK if states else EXIT_EMPTY
 
 
@@ -258,7 +257,7 @@ def cmd_centipede(args, man):
         ("pooled_rate", rep.analogy_minimizer_x, "pooled stopping rate: {:.9g}"),
         ("match_payoffs", rep.match_payoffs, "match payoffs [[AA, AB], [BA, BB]]: {}"),
         ("p_star_b", rep.p_star_b, "minimal stable share of the coarse group: {}"),
-        ("scan_thresholds", affine_stable_shares(rep.share_fitness).thresholds,
+        ("scan_thresholds", affine_stable_shares(rep.line_payoffs).thresholds,
          "scan agrees: gap falls through zero at fine-group share {0[0]:.9g}"),
     ], EXIT_OK
 
@@ -271,7 +270,7 @@ def cmd_dollar(args, man):
          "maximal-continuation profile verified: {}"),
         ("binding_margin", rep.binding_margin, "binding one-deviation margin: {:.9g}"),
         ("match_payoffs", rep.match_payoffs, "match payoffs [[AA, AB], [BA, BB]]: {}"),
-        ("dominance", rep.dominance_flag, "coarse group dominant at every share: {}"),
+        ("dominance", rep.dominance_flag, "fine group dominant at every share: {}"),
     ], EXIT_OK
 
 

@@ -65,8 +65,7 @@ def _check_separation(env=None) -> CheckRow:
     t0 = time.time()
     env = env if env is not None else catalog.build_two_situation_game()
     nash = [symmetric_nash(env, G).value for G in env.situations]
-    stack = [(stackelberg(env, G).strategy, stackelberg(env, G).value)
-             for G in env.situations]
+    stack = [(s.strategy, s.value) for s in (stackelberg(env, G) for G in env.situations)]
     ident = check_identifiability(env)
     sep = singleton_fragility_check(env)
     got = (tuple(round(v, 6) for v in nash), tuple(stack),
@@ -110,7 +109,7 @@ def _check_centipede() -> CheckRow:
     t0 = time.time()
     spec = catalog.CentipedeSpec(10, 1.0, 2.0)
     rep = catalog.centipede_analysis(spec)
-    scan = affine_stable_shares(rep.share_fitness)
+    scan = affine_stable_shares(rep.line_payoffs)
     p_b = 1.0 - scan.thresholds[0] if scan.thresholds else float("nan")
     got = (rep.maximal_continuation_verified, rep.analogy_minimizer_x, p_b)
     ok = (rep.maximal_continuation_verified

@@ -306,40 +306,33 @@ def solve_states(problems: list[SituationProblem],
     return _compose([p.solve(shares) for p in problems], shares)
 
 
+def match_payoffs(env: StageEnv, G, quadruple) -> np.ndarray:
+    """m[g, h]: objective payoff of group g against group h in situation G
+    under the play quadruple (a_AA, a_AB, a_BA, a_BB)."""
+    play = np.reshape(quadruple, (2, 2))          # play[g, h]: g's action against h
+    return env.payoff_matrix(G)[play, play.T]
+
+
+def share_blend(m: np.ndarray, shares: tuple[float, float]) -> np.ndarray:
+    """(fitness A, fitness B) of match payoffs ``m`` under random matching."""
+    return m[:, 0] * shares[0] + m[:, 1] * shares[1]
+
+
 def fitness(z: Zeitgeist, env: StageEnv, q=None) -> np.ndarray:
-    """Objective expected payoffs (group A, group B) under random matching."""
+    """Objective expected payoffs (group A, group B): the situation-weighted
+    share blends of each situation's match payoffs."""
     weights = as_weights(q, env.n_situations)
-    p_a, p_b = z.shares
     out = np.zeros(2)
     for gi, o in enumerate(z.outcomes):
-        a_aa, a_ab, a_ba, a_bb = o.quadruple
-        pi = env.payoff_matrix(gi)
-        out[0] += weights[gi] * (p_a * pi[a_aa, a_aa] + p_b * pi[a_ab, a_ba])
-        out[1] += weights[gi] * (p_b * pi[a_bb, a_bb] + p_a * pi[a_ba, a_ab])
+        out += weights[gi] * share_blend(match_payoffs(env, gi, o.quadruple), z.shares)
     return out
-
-
-def situation_fitness(outcome: SituationOutcome, env: StageEnv, G,
-                      shares: tuple[float, float]) -> np.ndarray:
-    """Objective payoffs (group A, group B) within a single situation."""
-    gi = env.situation_index(G)
-    a_aa, a_ab, a_ba, a_bb = outcome.quadruple
-    pi = env.payoff_matrix(gi)
-    p_a, p_b = shares
-    return np.array([p_a * pi[a_aa, a_aa] + p_b * pi[a_ab, a_ba],
-                     p_b * pi[a_bb, a_bb] + p_a * pi[a_ba, a_ab]])
 
 
 def conditional_fitness(z: Zeitgeist, env: StageEnv, G, group, versus) -> float:
     """Objective payoff of ``group`` when matched against ``versus`` in G."""
     gi = env.situation_index(G)
-    g = _group_index(group)
-    h = _group_index(versus)
-    a = z.outcomes[gi].quadruple
-    pi = env.payoff_matrix(gi)
-    mine = a[2 * g + h]       # quadruple order: AA, AB, BA, BB
-    theirs = a[2 * h + g]
-    return float(pi[mine, theirs])
+    m = match_payoffs(env, gi, z.outcomes[gi].quadruple)
+    return float(m[_group_index(group), _group_index(versus)])
 
 
 def _group_index(g) -> int:
@@ -462,15 +455,13 @@ def zeitgeist_summary(z: Zeitgeist, env: StageEnv, model_a, model_b,
             "mixture_supported": z.mixture_supported, "situations": rows}
 
 
-def render_summaries(zeitgeists: list[Zeitgeist], env: StageEnv, model_a, model_b,
-                     q=None) -> str:
-    """Human-readable multi-state report."""
-    lines = [f"{len(zeitgeists)} self-confirming state(s)"]
-    for idx, z in enumerate(zeitgeists):
-        s = zeitgeist_summary(z, env, model_a, model_b, q)
-        lines.append(f"[{idx}] shares A={z.shares[0]:g} B={z.shares[1]:g} "
+def render_summaries(summaries: list[dict]) -> str:
+    """Human-readable report of ``zeitgeist_summary`` documents."""
+    lines = [f"{len(summaries)} self-confirming state(s)"]
+    for idx, s in enumerate(summaries):
+        lines.append(f"[{idx}] shares A={s['shares'][0]:g} B={s['shares'][1]:g} "
                      f"fitness A={s['fitness']['A']:.6g} B={s['fitness']['B']:.6g}"
-                     + (" (mixture belief)" if z.mixture_supported else ""))
+                     + (" (mixture belief)" if s["mixture_supported"] else ""))
         for row in s["situations"]:
             play = row["play"]
             lines.append("    {}: AA={} AB={} BA={} BB={}".format(

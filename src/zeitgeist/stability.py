@@ -21,8 +21,8 @@ import numpy as np
 
 from .games import (TOL, StageEnv, as_weights, best_response_indices, slack,
                     symmetric_nash)
-from .solver import (SituationProblem, Zeitgeist, conditional_fitness,
-                     fitness, situation_fitness, solve_states)
+from .solver import (SituationProblem, Zeitgeist, fitness, match_payoffs,
+                     share_blend, solve_states)
 
 DEFAULT_EPS_LIST = (0.1, 0.05, 0.01, 0.005, 0.001)
 
@@ -76,14 +76,15 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
         counts = []
         lo = hi = 0.0
         empty = False
-        for gi, (G, problem) in enumerate(zip(env.situations, problems)):
+        for gi, problem in enumerate(problems):
             outcomes = problem.solve(shares)
             counts.append(len(outcomes))
             if not outcomes:
                 empty = True
                 continue
-            pairs = [situation_fitness(o, env, G, shares) for o in outcomes]
-            gaps = [float(f[0] - f[1]) for f in pairs]
+            fits = [share_blend(match_payoffs(env, gi, o.quadruple), shares)
+                    for o in outcomes]
+            gaps = [float(f[0] - f[1]) for f in fits]
             lo += weights[gi] * min(gaps)
             hi += weights[gi] * max(gaps)
         if empty:
@@ -113,6 +114,12 @@ class ReversalResult:
     mixture_supported_present: bool
 
 
+def beats_both(m: np.ndarray) -> bool:
+    """Group A beats group B against both groups by more than ``TOL`` in
+    match payoffs ``m``."""
+    return bool(np.all(m[0] > m[1] + TOL))
+
+
 def detect_reversal(env: StageEnv, model_a, model_b) -> ReversalResult:
     """Conditional-fitness reversal between the two extreme share points.
 
@@ -123,24 +130,14 @@ def detect_reversal(env: StageEnv, model_a, model_b) -> ReversalResult:
     """
     if env.n_situations != 1:
         raise ValueError("reversal detection is defined for a single situation")
-    G = env.situations[0]
-
-    problems = [SituationProblem(env, model_a, model_b, G)]
+    problems = [SituationProblem(env, model_a, model_b, env.situations[0])]
     states_a = tuple(solve_states(problems, (1.0, 0.0)))
     states_b = tuple(solve_states(problems, (0.0, 1.0)))
 
-    cond_a = bool(states_a)
-    for z in states_a:
-        vs_a = conditional_fitness(z, env, G, "A", "A") \
-            > conditional_fitness(z, env, G, "B", "A") + TOL
-        vs_b = conditional_fitness(z, env, G, "A", "B") \
-            > conditional_fitness(z, env, G, "B", "B") + TOL
-        cond_a = cond_a and vs_a and vs_b
-
-    cond_b = bool(states_b)
-    for z in states_b:
-        f = fitness(z, env)
-        cond_b = cond_b and (f[1] > f[0] + TOL)
+    cond_a = bool(states_a) and all(
+        beats_both(match_payoffs(env, 0, z.outcomes[0].quadruple)) for z in states_a)
+    cond_b = bool(states_b) and all(
+        f[1] > f[0] + TOL for f in (fitness(z, env) for z in states_b))
 
     mixture = any(z.mixture_supported for z in states_a + states_b)
     return ReversalResult(cond_a and cond_b, cond_a, cond_b,
@@ -199,18 +196,17 @@ def _scan_cells(ends, lines) -> StableSharesResult:
                               tuple(label for _, label in found), tuple(ends), tuple(lines))
 
 
-def _gap_line(fitness_at) -> tuple[float, float]:
-    """(c0, c1) of the gap c0 + c1 p of a fitness pair affine in p."""
-    g0, g1 = (float(fa - fb) for fa, fb in (fitness_at(0.0), fitness_at(1.0)))
+def _gap_line(m: np.ndarray) -> tuple[float, float]:
+    """(c0, c1) of the gap c0 + c1 p of match payoffs ``m`` at group A's
+    share p: every match is against group B at p = 0 and against A at 1."""
+    g0, g1 = float(m[0, 1] - m[1, 1]), float(m[0, 0] - m[1, 0])
     return g0, g1 - g0
 
 
-def affine_stable_shares(fitness_at) -> StableSharesResult:
-    """``stable_shares`` for a fitness pair affine in group A's share on all
-    of [0, 1], one cell; ``fitness_at`` maps a share to (fitness A,
-    fitness B), or to None at every share when no state applies."""
-    line = None if fitness_at(0.0) is None else _gap_line(fitness_at)
-    return _scan_cells((0.0, 1.0), (line,))
+def affine_stable_shares(m: np.ndarray | None) -> StableSharesResult:
+    """``stable_shares`` for match payoffs ``m`` fixed on all of [0, 1], one
+    cell; None when no state applies."""
+    return _scan_cells((0.0, 1.0), (None if m is None else _gap_line(m),))
 
 
 def share_cell_ends(problems: list[SituationProblem]) -> tuple[float, ...]:
@@ -247,15 +243,18 @@ def stable_shares(env: StageEnv, model_a, model_b, q=None) -> StableSharesResult
     Each group's objective is affine in the shares and its best-reply
     tables do not depend on them, so the state list can change only at a
     cell end (``share_cell_ends``).  Each cell is solved once, at its
-    midpoint; interior ends are never solved."""
+    midpoint; interior ends are never solved.  A cell's line comes from
+    the situation-weighted sum of its first state's match payoffs."""
+    weights = as_weights(q, env.n_situations)
     problems = [SituationProblem(env, model_a, model_b, G) for G in env.situations]
     ends = share_cell_ends(problems)
     lines = []
     for p in np.add(ends[:-1], ends[1:]) / 2.0:
         states = solve_states(problems, (p, 1.0 - p))
-        lines.append(_gap_line(
-            lambda s: fitness(Zeitgeist((s, 1.0 - s), states[0].outcomes), env, q))
-            if states else None)
+        m = np.zeros((2, 2))
+        for gi, o in enumerate(states[0].outcomes if states else ()):
+            m += weights[gi] * match_payoffs(env, gi, o.quadruple)
+        lines.append(_gap_line(m) if states else None)
     return _scan_cells(ends, lines)
 
 

@@ -18,7 +18,7 @@ from zeitgeist.models import (check_identifiability, illusion_of_control_model,
                               minimal_correct_model)
 from zeitgeist.games import stackelberg, symmetric_nash
 from zeitgeist.solver import (conditional_fitness, enumerate_ez, fitness,
-                              situation_fitness, verify_ez)
+                              match_payoffs, share_blend, verify_ez)
 from zeitgeist.stability import classify_stability, detect_reversal, \
     singleton_fragility_check
 
@@ -169,7 +169,8 @@ def test_criterion_5_stopping_games():
     for K in (6, 8, 10, 12):
         rep = catalog.dollar_analysis(K)
         assert rep.maximal_continuation_verified
-        assert np.all(rep.fitness_a(grid) > rep.fitness_b(grid))
+        fit = np.array([share_blend(rep.match_payoffs, (p, 1.0 - p)) for p in grid])
+        assert np.all(fit[:, 0] > fit[:, 1])
     elapsed = time.perf_counter() - t0
     print(f"x=0.2, p*={report.p_star_b}, lattice monotone, dollar dominant; "
           f"{elapsed:.3f}s")
@@ -235,7 +236,7 @@ def test_criterion_7_property_suites():
             f = fitness(z, env)
             total = np.zeros(2)
             for gi, G in enumerate(env.situations):
-                sf = situation_fitness(z.outcomes[gi], env, G, shares)
+                sf = share_blend(match_payoffs(env, G, z.outcomes[gi].quadruple), shares)
                 blend = np.array(
                     [shares[0] * conditional_fitness(z, env, G, g, "A")
                      + shares[1] * conditional_fitness(z, env, G, g, "B")

@@ -5,7 +5,8 @@ from scipy.optimize import minimize_scalar
 from zeitgeist import catalog
 from zeitgeist.games import StageEnv, stackelberg, symmetric_nash
 from zeitgeist.models import check_identifiability
-from zeitgeist.solver import enumerate_ez, verify_ez
+from zeitgeist.solver import enumerate_ez, share_blend, verify_ez
+from zeitgeist.stability import affine_stable_shares
 
 
 def test_cournot_spec_validation():
@@ -239,10 +240,15 @@ def test_stopping_game_reference_point():
 
 def test_stopping_game_gap_is_affine():
     report = catalog.centipede_analysis(catalog.CentipedeSpec(12, 1.5, 2.5))
-    g0 = report.gap(0.0)
-    g1 = report.gap(1.0)
+
+    def gap(p):
+        fit = share_blend(report.match_payoffs, (p, 1.0 - p))
+        return fit[0] - fit[1]
+
+    g0 = gap(0.0)
+    g1 = gap(1.0)
     for p in np.linspace(0.0, 1.0, 11):
-        assert report.gap(p) == pytest.approx(g0 + p * (g1 - g0), abs=1e-12)
+        assert gap(p) == pytest.approx(g0 + p * (g1 - g0), abs=1e-12)
 
 
 def test_stopping_game_without_growth_has_no_threshold():
@@ -253,7 +259,7 @@ def test_stopping_game_without_growth_has_no_threshold():
     assert report.p_star_b is None
 
 
-def test_share_fitness_is_none_where_the_profile_does_not_apply():
+def test_no_line_where_the_profile_does_not_apply():
     unverified = catalog.centipede_analysis(catalog.CentipedeSpec(4, 1.0, 2.0))
     assert not unverified.maximal_continuation_verified
     # growth exactly at the threshold: the profile verifies with zero
@@ -261,7 +267,8 @@ def test_share_fitness_is_none_where_the_profile_does_not_apply():
     boundary = catalog.centipede_analysis(catalog.CentipedeSpec(4, 1.0, 1.0))
     assert boundary.maximal_continuation_verified and not boundary.condition_holds
     for report in (unverified, boundary):
-        assert all(report.share_fitness(p) is None for p in np.linspace(0.0, 1.0, 101))
+        assert report.line_payoffs is None
+        assert affine_stable_shares(report.line_payoffs).lines == (None,)
 
 
 def test_pooled_rate_minimizes_the_pooled_stop_divergence():

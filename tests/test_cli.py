@@ -10,7 +10,8 @@ import yaml
 from conftest import coordination_env, mismatch_env
 from zeitgeist import catalog, cli, config, reproduce
 from zeitgeist.games import StageEnv
-from zeitgeist.models import minimal_correct_model
+from zeitgeist.models import illusion_of_control_model, minimal_correct_model
+from zeitgeist.solver import render_summaries
 
 
 def _save_pair(env, tmp_path, stem="game"):
@@ -72,6 +73,22 @@ def test_solve_ez_outputs_and_manifest(tmp_path, capsys):
         doc = yaml.safe_load(fh)
     assert doc["states"]
     assert doc["shares"] == [0.5, 0.5]
+
+
+def test_solve_ez_text_is_rendered_from_its_yaml(tmp_path, capsys):
+    env = catalog.build_two_situation_game()
+    env_path, model_a = _save_pair(env, tmp_path)
+    model_b = str(tmp_path / "entrant_model.yaml")
+    config.save_model(illusion_of_control_model(env), model_b)
+    out = tmp_path / "run"
+    assert cli.main(["solve-ez", "--env", env_path, "--model-a", model_a,
+                     "--model-b", model_b, "--shares", "0.9,0.1", "--q", "0.3,0.7",
+                     "--out", str(out)]) == 0
+    doc = _read_yaml(out / "ez.yaml")
+    assert doc["count"] == len(doc["states"]) > 0
+    text = (out / "ez.txt").read_text()
+    assert text == render_summaries(doc["states"]) + "\n"
+    assert text == capsys.readouterr().out
 
 
 def test_solve_ez_without_states_exits_two(tmp_path, capsys):
@@ -274,7 +291,7 @@ def test_dollar_writes_report(tmp_path, capsys):
     assert doc["K"] == 10 and doc["verified"] is True
     assert doc["dominance"] is True
     assert doc["match_payoffs"] == [[0.5, 9.5], [0.0, 5.0]]
-    assert ("coarse group dominant at every share: True"
+    assert ("fine group dominant at every share: True"
             in (out / "report.txt").read_text())
 
 

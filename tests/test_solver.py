@@ -19,7 +19,8 @@ from zeitgeist.solver import (
     enumerate_ez,
     enumerate_situation_ez,
     fitness,
-    situation_fitness,
+    match_payoffs,
+    share_blend,
     verify_ez,
     zeitgeist_summary,
 )
@@ -119,6 +120,24 @@ def test_investment_extreme_share_states():
     assert model_b.params[idx].label == "slope=4"
 
 
+def test_match_payoffs_read_the_quadruple():
+    rng = np.random.default_rng(8)
+    env = random_env(rng, n_strategies=3, n_consequences=3, n_situations=2)
+    pi = env.payoff_matrix("G1")
+    quad = (0, 2, 1, 2)                 # a_AA, a_AB, a_BA, a_BB
+    m = match_payoffs(env, "G1", quad)
+    assert m.tolist() == [[pi[0, 0], pi[2, 1]], [pi[1, 2], pi[2, 2]]]
+
+
+def test_package_exports_resolve():
+    import zeitgeist
+    for name in zeitgeist.__all__:
+        assert hasattr(zeitgeist, name), name
+    namespace = {}
+    exec("from zeitgeist import *", namespace)
+    assert set(zeitgeist.__all__) <= set(namespace)
+
+
 def test_fitness_decomposition():
     rng = np.random.default_rng(21)
     env = random_env(rng, n_strategies=2, n_consequences=3, n_situations=3)
@@ -132,7 +151,7 @@ def test_fitness_decomposition():
         total = fitness(z, env, q)
         parts = np.zeros(2)
         for gi, G in enumerate(env.situations):
-            sf = situation_fitness(z.outcomes[gi], env, G, shares)
+            sf = share_blend(match_payoffs(env, G, z.outcomes[gi].quadruple), shares)
             parts += q[gi] * sf
             # situation fitness is the share blend of conditional fitness
             blend = [shares[0] * conditional_fitness(z, env, G, "A", "A")

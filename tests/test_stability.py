@@ -103,6 +103,17 @@ def test_detect_reversal_on_entry_game():
     assert not res.mixture_supported_present
 
 
+def test_reversal_flags_are_python_bools():
+    spec = catalog.InvestmentSpec(1.0, 5.5, 12.0)
+    env, model_a, model_b, _ = catalog.build_investment_game(spec)
+    coord = coordination_env()
+    model = minimal_correct_model(coord)
+    for res in (detect_reversal(env, model_a, model_b),
+                detect_reversal(coord, model, model)):
+        for flag in (res.reversal, res.condition_majority_a, res.condition_majority_b):
+            assert type(flag) is bool
+
+
 def test_detect_reversal_needs_one_situation():
     env = catalog.build_two_situation_game()
     model = minimal_correct_model(env)
@@ -118,9 +129,8 @@ def test_no_reversal_between_identical_models():
 
 
 def _affine_source(intercept, slope):
-    def select(p):
-        return intercept + slope * p, 0.0
-    return select
+    # match payoffs whose gap is intercept + slope * p at group A's share p
+    return np.array([[intercept + slope, intercept], [0.0, 0.0]])
 
 
 def test_scan_finds_downward_crossing():
@@ -175,14 +185,14 @@ def test_scan_matches_stopping_game_closed_form():
         report = catalog.centipede_analysis(spec)
         if not report.maximal_continuation_verified:
             continue
-        res = affine_stable_shares(report.share_fitness)
+        res = affine_stable_shares(report.line_payoffs)
         assert len(res.thresholds) == 1
         assert res.thresholds[0] == pytest.approx(1.0 - report.p_star_b, abs=1e-8)
         checked += 1
 
 
 def test_dollar_variant_never_crosses():
-    res = affine_stable_shares(catalog.dollar_analysis(10).share_fitness)
+    res = affine_stable_shares(catalog.dollar_analysis(10).line_payoffs)
     assert res.thresholds == ()
     assert np.all(res.gaps > 0.0)
 
