@@ -8,8 +8,9 @@ two-situation commitment game with success/failure outcomes used for the
 separation and fragility analyses.  Two alternating-move stopping games
 (centipede and dollar) where one group pools opponent nodes by parity
 when forming conjectures; these have parametric strategy spaces, so they
-are analyzed by direct plan verification and closed-form fitness rather
-than by the finite enumerator.
+are analyzed by one backward induction over the hand-written profile
+rather than by the finite enumerator: under actual play it gives the
+match payoffs, under the conjectures the one-deviation margins.
 """
 
 from __future__ import annotations
@@ -590,117 +591,51 @@ def _dollar_ladder(K: int) -> _Ladder:
     return _Ladder(K, stops, (float(K + 2), 0.0))
 
 
-def _plan_stops_at(drop_from: int | None, k: int) -> bool:
-    return drop_from is not None and k >= drop_from
+def _profile(game: _Ladder, x: float) -> tuple[bool, float, np.ndarray]:
+    """Check the maximal-continuation profile and play it out.
 
+    Each plan is its first stop node, indexed [group, opponent group,
+    role], with K + 1 for never: group A stops at once against its own kind
+    and late against the pooled reasoners; group B passes everywhere except
+    node K.  One backward induction runs over all eight cases, under actual
+    play and under the conjectures side by side.  Actual play gives the
+    match payoffs.  The conjectures give the one-deviation margin
+    (prescribed action's value minus the alternative's) at every own node
+    the conjecture can reach.  Group A conjectures the opponent's actual
+    plan.  Group B pools opponent nodes by parity: rate x at the nodes of
+    an opponent whose plan stops anywhere, and 0 at the nodes of one that
+    never stops.
 
-def _plan_check(game: _Ladder, role: int, drop_from: int | None,
-                hazard: np.ndarray) -> tuple[bool, float]:
-    """One-deviation optimality of a threshold plan against conjectured
-    opponent stop rates, checked at every node the conjecture can reach.
-
-    Returns (ok, worst margin); margin is the prescribed action's value
-    minus the alternative's.
+    Returns (verified, binding margin, m) with m[g, h] group g's expected
+    payoff against group h, roles split evenly.
     """
     K = game.K
-    value = np.zeros(K + 2)
-    value[K + 1] = game.z_end[role]
-    for k in range(K, 0, -1):
-        if (k % 2 == 1) == (role == 0):
-            stops = _plan_stops_at(drop_from, k)
-            value[k] = game.stops[k, role] if stops else value[k + 1]
-        else:
-            value[k] = hazard[k] * game.stops[k, role] \
-                + (1.0 - hazard[k]) * value[k + 1]
+    first = np.array([[[1, 2], [K - 1, K]], [[K + 1, K], [K + 1, K]]])[..., None]
+    rival = first.transpose(1, 0, 2, 3)[:, :, ::-1]         # first[h, g, 1 - role]
+    node = np.arange(1, K + 1)
+    own = (node % 2 == 1) == (np.arange(2) == 0)[:, None]    # [role, node]
+    group_a = np.arange(2)[:, None, None, None] == 0
+    played = (node >= np.where(own, first, rival)).astype(float)
+    conjectured = np.where(own | group_a, played, np.where(rival <= K, x, 0.0))
+    rate = np.stack([played, conjectured])                    # [mode, g, h, role, node]
 
-    tie = slack(max(float(np.max(np.abs(game.stops))), abs(game.z_end[role])))
-    worst = np.inf
-    reachable = True
-    for k in range(1, K + 1):
-        own = (k % 2 == 1) == (role == 0)
-        if own:
-            if reachable:
-                stop_val = game.stops[k, role]
-                pass_val = value[k + 1]
-                margin = (stop_val - pass_val if _plan_stops_at(drop_from, k)
-                          else pass_val - stop_val)
-                worst = min(worst, float(margin))
-        else:
-            if hazard[k] >= 1.0:
-                reachable = False
-    return bool(worst >= -tie), worst
+    stops = game.stops[1:].T                                  # [role, node]
+    value = np.empty(rate.shape[:-1] + (K + 1,))              # value[..., i] at node i + 1
+    value[..., K] = game.z_end
+    for i in range(K - 1, -1, -1):
+        value[..., i] = rate[..., i] * stops[:, i] + (1.0 - rate[..., i]) * value[..., i + 1]
 
-
-# plans in the maximal-continuation profile, as first-stop thresholds
-# indexed by (group, role): group 0 stops early on its own kind and late
-# against the pooled reasoners; group 1 passes everywhere except node K
-def _profile_plans(K: int) -> dict:
-    return {
-        ("A", "A"): {0: 1, 1: 2},
-        ("A", "B"): {0: K - 1, 1: K},
-        ("B", "A"): {0: None, 1: K},
-        ("B", "B"): {0: None, 1: K},
-    }
-
-
-def _conjectured_hazards(K: int, viewer: str, opp: str, role: int,
-                         x: float) -> np.ndarray:
-    """Stop rates the viewer assigns to opponent nodes.
-
-    Group A conjectures actual play.  Group B pools nodes by parity and
-    carries the fitted rate x for every parity generating stop data, and
-    zero where its data shows no stops.
-    """
-    h = np.zeros(K + 1)
-    opp_nodes = [k for k in range(1, K + 1) if (k % 2 == 1) == (role != 0)]
-    if viewer == "A":
-        plans = _profile_plans(K)[(opp, "A")]
-        opp_plan = plans[1 - role]
-        for k in opp_nodes:
-            h[k] = 1.0 if _plan_stops_at(opp_plan, k) else 0.0
-    elif opp == "A":
-        for k in opp_nodes:
-            h[k] = x
-    else:
-        for k in opp_nodes:
-            h[k] = x if k % 2 == 0 else 0.0
-    return h
-
-
-def _verify_profile(game: _Ladder, x: float) -> tuple[bool, float]:
-    """Check all eight (group, role, opponent) plan optimality conditions."""
-    plans = _profile_plans(game.K)
-    ok_all, worst = True, np.inf
-    for viewer in ("A", "B"):
-        for opp in ("A", "B"):
-            for role in (0, 1):
-                drop_from = plans[(viewer, opp)][role]
-                hazard = _conjectured_hazards(game.K, viewer, opp, role, x)
-                ok, margin = _plan_check(game, role, drop_from, hazard)
-                ok_all = ok_all and ok
-                if np.isfinite(margin):
-                    worst = min(worst, margin)
-    return ok_all, worst
-
-
-def _play_out(game: _Ladder, plan_p1: int | None, plan_p2: int | None) -> np.ndarray:
-    for k in range(1, game.K + 1):
-        plan = plan_p1 if k % 2 == 1 else plan_p2
-        if _plan_stops_at(plan, k):
-            return game.stops[k].copy()
-    return np.asarray(game.z_end, dtype=float)
-
-
-def _match_payoffs(game: _Ladder) -> np.ndarray:
-    """m[g, h]: group g's expected payoff against group h, roles split evenly."""
-    plans = _profile_plans(game.K)
-    m = np.zeros((2, 2))
-    for gi, g in enumerate("AB"):
-        for hi, h in enumerate("AB"):
-            as_p1 = _play_out(game, plans[(g, h)][0], plans[(h, g)][1])[0]
-            as_p2 = _play_out(game, plans[(h, g)][0], plans[(g, h)][1])[1]
-            m[gi, hi] = 0.5 * (as_p1 + as_p2)
-    return m
+    go = value[1, ..., 1:]
+    margin = np.where(played == 1.0, stops - go, go - stops)
+    # a conjectured sure stop cuts off every node after it
+    cut = np.logical_or.accumulate(~own & (conjectured >= 1.0), axis=-1)
+    checked = own & ~cut
+    scale = float(np.max(np.abs(game.stops)))
+    tie = np.array([slack(max(scale, abs(z))) for z in game.z_end])[:, None]
+    verified = bool(np.all((margin >= -tie) | ~checked))
+    binding = float(np.min(margin[checked], initial=np.inf))
+    pay = value[0, ..., 0]                                    # [g, h, role]
+    return verified, binding, 0.5 * (pay[..., 0] + pay[..., 1])
 
 
 def _pooled_rate(K: int) -> float:
@@ -747,23 +682,26 @@ class CentipedeReport(StoppingReport):
 def centipede_analysis(spec: CentipedeSpec) -> CentipedeReport:
     """Verify the maximal-continuation profile and report its fitness line.
 
-    The profile is checked by backward induction on subjective values: each
-    group's plan must be one-deviation optimal at every reachable own node
-    under its conjectured stop rates (group B pools opponent nodes by
-    parity at the fitted rate 2/K).  The fitness gap is affine in group A's
-    share; when the pie grows fast enough the crossing share is interior,
-    otherwise the stability claims do not apply and p_star_b is None.
+    One backward induction (``_profile``) checks the profile and plays it
+    out.  Under each group's conjectured stop rates, each plan must be
+    one-deviation optimal at every own node the conjecture can reach.
+    Group A conjectures actual play.  Group B pools opponent nodes by
+    parity at the fitted rate 2/K: that rate at the nodes of an opponent
+    whose plan stops anywhere, and 0 at those of one that never stops.
+    The fitness gap is affine in group A's share; when the pie grows fast
+    enough the crossing share is interior, otherwise the stability claims
+    do not apply and p_star_b is None.
     """
     game = _centipede_ladder(spec)
     x = _pooled_rate(spec.K)
-    verified, margin = _verify_profile(game, x)
+    verified, margin, m = _profile(game, x)
     p_star = None
     if spec.sustainable and verified:
         p_star = 1.0 - spec.l / (spec.g * (spec.K - 2))
     return CentipedeReport(
         maximal_continuation_verified=verified,
         binding_margin=margin,
-        match_payoffs=_match_payoffs(game),
+        match_payoffs=m,
         spec=spec,
         condition_holds=spec.sustainable,
         analogy_minimizer_x=x,
@@ -788,8 +726,7 @@ def dollar_analysis(K: int) -> DollarReport:
     if K < 6 or K % 2 != 0:
         raise ValueError("K must be an even integer >= 6")
     game = _dollar_ladder(K)
-    verified, margin = _verify_profile(game, _pooled_rate(K))
-    m = _match_payoffs(game)
+    verified, margin, m = _profile(game, _pooled_rate(K))
     # both fitness lines are affine in the share, so group A is ahead at
     # every share exactly when it is ahead against both groups
     return DollarReport(maximal_continuation_verified=verified, binding_margin=margin,

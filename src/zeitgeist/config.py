@@ -20,7 +20,7 @@ import yaml
 from . import catalog
 from .games import DenseKernel, MonitoringStructure, StageEnv
 from .learning import Policy, SimConfig
-from .models import Model, Parameter
+from .models import Model, Parameter, _certainty_form_model
 
 
 class ConfigError(ValueError):
@@ -215,11 +215,7 @@ def model_from_dict(doc: dict, where: str = "<model>") -> Model:
     perturb = doc.get("perturb_eps")
     meta = doc.get("meta") or {}
     if doc.get("form") == "certainty":
-        params = [Parameter((None, None), k, i, label=kernel_labels[i])
-                  for i, k in enumerate(kernels)]
-        return Model(label, params, strategic_certainty_form=True,
-                     kernels=kernels, kernel_labels=kernel_labels,
-                     perturb_eps=perturb, meta=meta)
+        return _certainty_form_model(label, kernels, kernel_labels, perturb, meta)
     params = []
     for pi, pd in enumerate(_require(doc, "params", where)):
         ki = int(_require(pd, "kernel", f"{where}: params[{pi}]"))

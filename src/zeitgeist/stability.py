@@ -244,17 +244,21 @@ def stable_shares(env: StageEnv, model_a, model_b, q=None) -> StableSharesResult
     tables do not depend on them, so the state list can change only at a
     cell end (``share_cell_ends``).  Each cell is solved once, at its
     midpoint; interior ends are never solved.  A cell's line comes from
-    the situation-weighted sum of its first state's match payoffs."""
+    the situation-weighted sum of its first state's match payoffs: each
+    situation's first outcome, so the product of outcomes is never formed."""
     weights = as_weights(q, env.n_situations)
     problems = [SituationProblem(env, model_a, model_b, G) for G in env.situations]
     ends = share_cell_ends(problems)
     lines = []
     for p in np.add(ends[:-1], ends[1:]) / 2.0:
-        states = solve_states(problems, (p, 1.0 - p))
+        outcomes = [problem.solve((p, 1.0 - p)) for problem in problems]
+        if not all(outcomes):
+            lines.append(None)
+            continue
         m = np.zeros((2, 2))
-        for gi, o in enumerate(states[0].outcomes if states else ()):
-            m += weights[gi] * match_payoffs(env, gi, o.quadruple)
-        lines.append(_gap_line(m) if states else None)
+        for gi, found in enumerate(outcomes):
+            m += weights[gi] * match_payoffs(env, gi, found[0].quadruple)
+        lines.append(_gap_line(m))
     return _scan_cells(ends, lines)
 
 

@@ -295,6 +295,68 @@ def test_dollar_variant_validation_and_dominance():
     assert r10.match_payoffs == pytest.approx(want, abs=1e-12)
 
 
+def _threshold_plans_verified(K, stops, z_end):
+    """Is every prescribed plan of the maximal-continuation profile
+    ex-ante optimal among all threshold plans under its group's conjecture?
+
+    ``stops[k]`` is the (P1, P2) payoff pair if node k stops.  A plan is its
+    first own stop node, K + 1 for never; its value is summed forward over
+    the probability of reaching each node.
+    """
+    x, never = 2.0 / K, K + 1
+    plans = {("A", "A"): (1, 2), ("A", "B"): (K - 1, K),
+             ("B", "A"): (never, K), ("B", "B"): (never, K)}
+    scale = max(1.0, *(abs(v) for pair in [*stops.values(), z_end] for v in pair))
+
+    def hazard(viewer, opp, role, k):
+        if viewer == "A":                    # the rival's actual plan
+            return 1.0 if k >= plans[(opp, viewer)][1 - role] else 0.0
+        if opp == "A":                       # pooled: stops seen at both parities
+            return x
+        return x if k % 2 == 0 else 0.0      # pooled: group B stops only at node K
+
+    for (viewer, opp), prescribed in plans.items():
+        for role in (0, 1):
+            mine = [k for k in range(1, K + 1) if (k % 2 == 1) == (role == 0)]
+
+            def value(first):
+                reach, v = 1.0, 0.0
+                for k in range(1, K + 1):
+                    if k in mine:
+                        if k >= first:
+                            return v + reach * stops[k][role]
+                    else:
+                        h = hazard(viewer, opp, role, k)
+                        v += reach * h * stops[k][role]
+                        reach *= 1.0 - h
+                return v + reach * z_end[role]
+
+            best = max(value(first) for first in [*mine, never])
+            if value(prescribed[role]) < best - 1e-9 * scale:
+                return False
+    return True
+
+
+def test_verdicts_match_brute_force_over_threshold_plans():
+    verdicts = []
+    for K in (4, 6, 8, 10):
+        for g in (0.1, 0.25, 0.5, 1.0, 2.0):
+            for l in (0.2, 0.5, 1.0, 2.0, 4.0):
+                stops = {k: ((k - 1) * g / 2, (k - 1) * g / 2) if k % 2
+                         else ((k - 2) * g / 2 - l, k * g / 2 + l) for k in range(1, K + 1)}
+                want = _threshold_plans_verified(K, stops, (K * g / 2, K * g / 2))
+                got = catalog.centipede_analysis(catalog.CentipedeSpec(K, g, l))
+                assert got.maximal_continuation_verified is want, (K, g, l)
+                verdicts.append(want)
+    for K in range(6, 31, 2):
+        stops = {k: (float(k), 0.0) if k % 2 else (0.0, float(k)) for k in range(1, K + 1)}
+        want = _threshold_plans_verified(K, stops, (K + 2.0, 0.0))
+        assert catalog.dollar_analysis(K).maximal_continuation_verified is want, K
+        verdicts.append(want)
+    # the lattice holds unverified specs, so both verdicts are exercised
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_grid_kernel_payoff_matrix_follows_a_new_utility_array():
     edges = np.linspace(-5.0, 15.0, 21)
     kern = catalog.GaussianGridKernel(np.array([0.0, 1.0, 2.0]), 1.0, 8.0,

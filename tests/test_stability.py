@@ -4,7 +4,7 @@ import pytest
 from conftest import (coordination_env, decision_env, mismatch_env, random_env,
                       random_model)
 from zeitgeist import catalog, stability
-from zeitgeist.games import TOL
+from zeitgeist.games import TOL, StageEnv
 from zeitgeist.models import illusion_of_control_model, minimal_correct_model
 from zeitgeist.solver import SituationProblem
 from zeitgeist.stability import (
@@ -212,6 +212,22 @@ def test_stable_shares_without_states_is_one_band():
     assert res.thresholds == ()
     assert all(line is None for line in res.lines)
     assert res.no_state_bands == ((0.0, 1.0),)
+
+
+def test_stable_shares_reads_each_situations_first_outcome():
+    # constant utility makes every quadruple an outcome, 1296 per situation;
+    # their product is past what enumerate_ez composes, but a cell's line
+    # needs only each situation's first outcome
+    rng = np.random.default_rng(0)
+    n = 6
+    env = StageEnv(strategies=[f"s{i}" for i in range(n)], consequences=["c0", "c1", "c2"],
+                   situations=["G0", "G1"],
+                   kernels=[rng.dirichlet(np.ones(3), size=(n, n)) for _ in range(2)],
+                   utility=np.ones(3))
+    model = minimal_correct_model(env)
+    res = stable_shares(env, model, model)
+    assert res.thresholds == ()
+    assert res.lines and all(line == (0.0, 0.0) for line in res.lines)
 
 
 def _scan_pairs():
