@@ -174,43 +174,28 @@ def _expanded_prior(model: Model, expanded: Model, prior) -> np.ndarray:
     return out / total
 
 
-def _likelihood_tables(model: Model, env: StageEnv, tau: float):
-    """Log-likelihood lookups; they do not depend on the situation.
+def _model_tables(model: Model, env: StageEnv, tau: float):
+    """Log-likelihood and payoff lookups; they do not depend on the situation.
 
-    Returns (ll, lm): ``ll[og, p, a, y]`` is the log probability parameter
-    ``p`` assigns to consequence ``y`` after own action ``a`` against an
-    opponent from group ``og``; ``lm[og, p, m]`` the log signal probability.
+    Returns (ll, lm, u): ``ll[og, p, a, y]`` is the log probability
+    parameter ``p`` assigns to consequence ``y`` after own action ``a``
+    against an opponent from group ``og``, ``lm[og, p, m]`` the log signal
+    probability and ``u[og, p, a]`` the expected payoff of ``a``, each at
+    p's conjecture for that group.
     """
     n = env.n_strategies
-    n_y = len(env.consequences)
-    p_n = model.n_params
-    ll = np.empty((2, p_n, n, n_y))
-    lm = np.empty((2, p_n, n))
-    sig_base = (1.0 - tau) / n
-    for p_i, param in enumerate(model.params):
-        rows = np.stack([param.kernel.rows_for_own(a) for a in range(n)])
-        for og in (0, 1):
-            conj = param.conj_a[og]
-            with np.errstate(divide="ignore"):
-                # a parameter giving an observed consequence zero mass is
-                # ruled out for good: -inf log posterior
-                ll[og, p_i] = np.log(rows[:, conj, :])
-            sig = np.full(n, sig_base)
-            sig[conj] += tau
-            lm[og, p_i] = np.log(sig)
-    return ll, lm
-
-
-def _payoff_tables(model: Model, env: StageEnv) -> np.ndarray:
-    """``u[og, p, a]``: parameter p's expected payoff of own action a against
-    an opponent from group og, at p's conjecture for that group."""
-    n = env.n_strategies
-    out = np.empty((2, model.n_params, n))
-    for p_i, param in enumerate(model.params):
-        pay = param.kernel.payoff_matrix(env.utility)
-        for og in (0, 1):
-            out[og, p_i] = pay[:, param.conj_a[og]]
-    return out
+    conj = np.array([param.conj_a for param in model.params]).T  # [og, p]
+    og, p = np.indices(conj.shape)
+    rows = np.stack([np.stack([param.kernel.rows_for_own(a) for a in range(n)])
+                     for param in model.params])                 # [p, a, j, y]
+    pay = np.stack([param.kernel.payoff_matrix(env.utility) for param in model.params])
+    with np.errstate(divide="ignore"):
+        # a parameter giving an observed consequence zero mass is ruled out
+        # for good: -inf log posterior
+        ll = np.log(rows[p, :, conj])
+    sig = np.full(conj.shape + (n,), (1.0 - tau) / n)
+    sig[og, p, conj] += tau
+    return ll, np.log(sig), pay[p, :, conj]
 
 
 def run_learning(env: StageEnv, model_a: Model, model_b: Model,
@@ -222,6 +207,11 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
     the fixed per-period draw order makes runs bit-reproducible from the
     seed.  On a situation redraw, posteriors and burn-in counters restart.
     """
+    for model in (model_a, model_b):
+        free = [i for i, p in enumerate(model.params) if None in p.conj_a]
+        if free and not model.strategic_certainty_form:
+            raise ValueError(f"model {model.label!r} parameter {free[0]} has a free (None) "
+                             "conjecture; learning needs explicit ones or the certainty form")
     exp_a = model_a.expand_product(env)
     exp_b = model_b.expand_product(env)
     prior = (_expanded_prior(model_a, exp_a, cfg.prior_a),
@@ -238,8 +228,7 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
     redraw = cfg.situation_period
 
     log_prior = tuple(np.log(p) for p in prior)
-    per_model = tuple((*_likelihood_tables(m, env, cfg.tau), _payoff_tables(m, env))
-                      for m in (exp_a, exp_b))
+    per_model = tuple(_model_tables(m, env, cfg.tau) for m in (exp_a, exp_b))
     # the true kernel's CDF rows per situation, built on first visit
     cdfs = {}
 

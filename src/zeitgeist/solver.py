@@ -34,13 +34,25 @@ MAX_COMPOSED = 200_000
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first call.
+    """``scipy.optimize.linprog``, imported on first call; every LP of the
+    package is a ``max_margin`` program solved here.
 
     Loading scipy.optimize takes about half a second, and only a few per
     cent of situation solves reach an LP.  ``perfbench/spans.py`` wraps
     this module-level name to count and time the LP calls."""
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
+
+
+def max_margin(d: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Simplex weights ``w`` over the rows of ``d`` maximizing the worst
+    entry of ``w @ d``, and that entry; None if the LP fails."""
+    m, k = d.shape
+    # vars (w_1..w_m, t): max t  s.t.  t - w.d_j <= 0 for every column j
+    res = linprog(np.append(np.zeros(m), -1.0), A_ub=np.hstack([-d.T, np.ones((k, 1))]),
+                  b_ub=np.zeros(k), A_eq=np.append(np.ones(m), 0.0)[None, :], b_eq=[1.0],
+                  bounds=[(0.0, 1.0)] * m + [(None, None)], method="highs")
+    return (res.x[:m], float(res.x[m])) if res.success else None
 
 
 def _require_compatible(env: StageEnv, model, who: str) -> None:
@@ -117,18 +129,10 @@ def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
     # maximize the worst optimality margin so the solution sits as far from
     # the boundary as the parameter set allows; a boundary-hugging belief
     # would be vulnerable to LP tolerance noise downstream
-    m = len(v_own)
-    d = np.hstack([d_own, d_cross])            # (m, alternatives)
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-d.T, np.ones((d.shape[1], 1))])   # t - w.d <= 0
-    b_ub = np.zeros(d.shape[1])
-    a_eq = np.append(np.ones(m), 0.0)[None, :]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0.0, 1.0)] * m + [(None, None)], method="highs")
-    if not res.success:
+    found = max_margin(np.hstack([d_own, d_cross]))
+    if found is None:
         return None
-    w = np.where(res.x[:m] <= TOL, 0.0, res.x[:m])
+    w = np.where(found[0] <= TOL, 0.0, found[0])
     total = w.sum()
     if total <= 0.0:
         return None

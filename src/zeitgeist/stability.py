@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import (TOL, StageEnv, as_weights, best_response_indices, slack,
+from .games import (TOL, StageEnv, as_weights, best_reply_mask, slack,
                     symmetric_nash)
 from .solver import (SituationProblem, Zeitgeist, fitness, match_payoffs,
-                     share_blend, solve_states)
+                     max_margin, share_blend, solve_states)
 
 DEFAULT_EPS_LIST = (0.1, 0.05, 0.01, 0.005, 0.001)
 
@@ -286,7 +286,9 @@ def singleton_fragility_check(env: StageEnv) -> SeparationResult:
     the worst consistent profile, or -inf when none exists.  The check
     searches for situation weights giving the resident's equilibrium payoff
     a strictly positive margin over every rule, then tilts the maximizing
-    weights to full support while the strict inequalities survive.
+    weights to full support while the strict inequalities survive.  Each
+    situation's rule points are one gather from its best-reply mask (entry
+    [j, b[j]] for every opponent reply j); the weights come from ``max_margin``.
     """
     m = env.n_situations
     n = env.n_strategies
@@ -300,41 +302,22 @@ def singleton_fragility_check(env: StageEnv) -> SeparationResult:
             raise ValueError(f"no symmetric pure equilibrium in situation {G}")
         nash_vals[gi] = res.value
 
-    replies = [[best_response_indices(env, G, a_i) for a_i in range(n)]
-               for G in env.situations]
-    pays = [env.payoff_matrix(G) for G in env.situations]
+    rules = tuple(itertools.product(range(n), repeat=n))
+    b = np.array(rules)
+    table = np.empty((len(rules), m))
+    for gi, G in enumerate(env.situations):
+        pay = env.payoff_matrix(G)
+        held = np.where(best_reply_mask(pay), pay.T, np.inf)   # [reply j, action]
+        table[:, gi] = held[np.arange(n), b].min(axis=1)
+    table[np.isposinf(table)] = -np.inf
+    points = tuple(table)
 
-    rules = []
-    points = []
-    for b in itertools.product(range(n), repeat=n):
-        vals = np.full(m, -np.inf)
-        for gi, pi in enumerate(pays):
-            consistent = [pi[a_i, a_minus]
-                          for a_i in range(n)
-                          for a_minus in replies[gi][a_i]
-                          if b[a_minus] == a_i]
-            if consistent:
-                vals[gi] = min(consistent)
-        rules.append(b)
-        points.append(vals)
-
-    finite_rows = [v for v in points if np.all(np.isfinite(v))]
-    if finite_rows:
-        from scipy.optimize import linprog   # slow to import, rarely needed
-        # vars (q_1..q_m, t): max t  s.t.  q.(v_rule - v_ne) + t <= 0
-        a_ub = np.hstack([np.array(finite_rows) - nash_vals[None, :],
-                          np.ones((len(finite_rows), 1))])
-        res = linprog(np.concatenate([np.zeros(m), [-1.0]]),
-                      A_ub=a_ub, b_ub=np.zeros(len(finite_rows)),
-                      A_eq=np.concatenate([np.ones(m), [0.0]])[None, :], b_eq=[1.0],
-                      bounds=[(0.0, 1.0)] * m + [(None, None)], method="highs")
-        if not res.success:
-            raise RuntimeError(f"margin program failed: {res.message}")
-        q_star = res.x[:m]
-        lp_margin = float(res.x[m])
-    else:
-        q_star = np.full(m, 1.0 / m)
-        lp_margin = np.inf
+    finite = table[np.isfinite(table).all(axis=1)]
+    found = (max_margin((nash_vals - finite).T) if len(finite)
+             else (np.full(m, 1.0 / m), np.inf))
+    if found is None:
+        raise RuntimeError("margin program failed")
+    q_star, lp_margin = found
 
     def strict_margin_at(qv: np.ndarray) -> float:
         base = float(qv @ nash_vals)

@@ -8,7 +8,7 @@ from conftest import coordination_env
 from zeitgeist import catalog, learning
 from zeitgeist.games import StageEnv
 from zeitgeist.learning import Policy, SimConfig, compare_to_ez, run_learning
-from zeitgeist.models import minimal_correct_model, singleton_model
+from zeitgeist.models import Model, Parameter, minimal_correct_model, singleton_model
 from zeitgeist.solver import enumerate_ez
 
 
@@ -258,3 +258,14 @@ def test_zero_likelihood_traps_are_counted_and_restarted():
     for nu in (traj.nu_a, traj.nu_b):
         assert np.all(np.isfinite(nu))
         assert np.max(np.abs(nu.sum(axis=1) - 1.0)) <= 1e-9
+
+
+def test_explicit_model_with_free_conjecture_is_rejected():
+    env = coordination_env()
+    correct = minimal_correct_model(env)
+    kernel = correct.kernels[0]
+    params = [Parameter((0, 1), kernel, 0, "fixed"), Parameter((None, 1), kernel, 0, "free")]
+    free = Model("half_free", params, strategic_certainty_form=False,
+                 kernels=[kernel], kernel_labels=["k0"])
+    with pytest.raises(ValueError, match=r"model 'half_free' parameter 1 .*free"):
+        run_learning(env, correct, free, _small_config())

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import (coordination_env, decision_env, mismatch_env, random_env,
                       random_model)
-from zeitgeist import catalog, stability
-from zeitgeist.games import TOL, StageEnv
+from zeitgeist import catalog, solver, stability
+from zeitgeist.games import TOL, StageEnv, best_response_indices
 from zeitgeist.models import illusion_of_control_model, minimal_correct_model
 from zeitgeist.solver import SituationProblem
 from zeitgeist.stability import (
@@ -328,3 +330,57 @@ def test_dominant_strategy_payoff_cannot_be_separated():
     assert not res.separable
     assert res.lp_margin == pytest.approx(0.0, abs=1e-9)
     assert res.eps_tilt == 0.0
+
+
+def test_separation_lp_goes_through_solver_linprog(monkeypatch):
+    calls = []
+    real = solver.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "linprog", counting)
+    singleton_fragility_check(catalog.build_two_situation_game())
+    assert len(calls) >= 1
+
+
+def _reference_rule_points(env):
+    """Per-rule loop over best replies: rule b pins an outcome wherever the
+    opponent's reply a_minus best-replies to b[a_minus]; the point is the
+    worst such payoff, -inf where there is none."""
+    n, m = env.n_strategies, env.n_situations
+    replies = [[best_response_indices(env, G, a_i) for a_i in range(n)]
+               for G in env.situations]
+    pays = [env.payoff_matrix(G) for G in env.situations]
+    rules, points = [], []
+    for b in itertools.product(range(n), repeat=n):
+        vals = np.full(m, -np.inf)
+        for gi, pi in enumerate(pays):
+            consistent = [pi[a_i, a_minus] for a_i in range(n)
+                          for a_minus in replies[gi][a_i] if b[a_minus] == a_i]
+            if consistent:
+                vals[gi] = min(consistent)
+        rules.append(b)
+        points.append(vals)
+    return rules, points
+
+
+def test_rule_points_match_a_per_rule_loop():
+    checked = 0
+    for k in range(50):
+        rng = np.random.default_rng(900 + k)
+        env = random_env(rng, n_strategies=int(rng.integers(2, 5)),
+                         n_situations=int(rng.integers(1, 4)))
+        try:
+            res = singleton_fragility_check(env)
+        except ValueError:
+            continue                       # no symmetric pure equilibrium
+        rules, points = _reference_rule_points(env)
+        assert res.rules == tuple(rules)
+        assert all(type(r) is tuple and all(type(a) is int for a in r) for r in res.rules)
+        assert len(res.candidate_points) == len(points)
+        for got, want in zip(res.candidate_points, points):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        checked += 1
+    assert checked >= 25
