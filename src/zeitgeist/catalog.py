@@ -15,6 +15,7 @@ match payoffs, under the conjectures the one-deviation margins.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -173,9 +174,6 @@ class GaussianGridKernel:
         np.maximum(mass, 0.0, out=mass)
         return mass / mass.sum(axis=1, keepdims=True)
 
-    def binned_mean(self, mus) -> np.ndarray:
-        return self.bank.rows(mus, self.masses) @ self.bank.centers
-
     def row(self, i: int, j: int) -> np.ndarray:
         return self.bank.rows(self.mean(i, j), self.masses)[0]
 
@@ -288,12 +286,12 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
                         shares) -> list[Zeitgeist]:
     """All self-confirming states of the discretized duopoly at an extreme share.
 
-    At (1, 0) group A's belief is pinned by own-group data to the true
-    intercept, and group B's by cross-group data to the intercept matching
-    the observed mean price; at (0, 1) the roles of the pinning data swap.
-    That structure lets the state space be scanned directly instead of
-    enumerating quadruples, which is intractable at this grid size.  Every
-    state found is certified by the generic verifier before it is returned.
+    Group A's belief is the true intercept; group B's is the intercept whose
+    predicted mean price matches its data, the cross profile (a_BA, a_AB) at
+    (1, 0) and its own (a_BB, a_BB) at (0, 1).  Pinned beliefs let the state
+    space be scanned instead of enumerated.  B's payoffs are its kernel rows
+    times ``env.utility``, so no builder metadata is read.  Every state found
+    is certified by the generic verifier before it is returned.
     """
     p_a, p_b = float(shares[0]), float(shares[1])
     if (p_a, p_b) not in ((1.0, 0.0), (0.0, 1.0)):
@@ -301,92 +299,60 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
                          "(1, 0) and (0, 1)")
     truth: GaussianGridKernel = env.kernels[0]
     q = truth.quantities
-    n = len(q)
-    cost = env.meta.get("cost")
-    if cost is None:
-        raise ValueError("expected an environment from build_cournot_discrete "
-                         "(meta lacks the unit cost)")
     beta, r = truth.intercept, truth.slope
     r_hat = model_b.params[0].kernel.slope
-    grid_a = np.array([p.kernel.intercept for p in model_a.params])
     grid_b = np.array([p.kernel.intercept for p in model_b.params])
+    # own-group data pins A at (1, 0), and the correct slope makes cross
+    # data match exactly at (0, 1)
+    idx_a = _nearest_index(np.array([p.kernel.intercept for p in model_a.params]), beta)
 
-    def pay_column(slope, intercept, a_opp: int) -> np.ndarray:
-        """Subjective payoff of each own quantity against opponent index;
-        bin masses depend only on the shared edges and noise scale."""
-        mus = intercept - slope * (q + q[a_opp])
-        return q * (truth.binned_mean(mus) - cost)
+    def pinned(total: float) -> int:
+        """B's data-matching intercept for an observed quantity sum."""
+        return _nearest_index(grid_b, beta + total * (r_hat - r))
 
-    def br_set(col: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(best_reply_mask(col))
-
-    def fixed_points(pay: np.ndarray) -> list[int]:
-        return np.flatnonzero(np.diagonal(best_reply_mask(pay))).tolist()
-
-    # group A's belief is the true intercept at both extremes: own-group data
-    # pins it at (1, 0), and the correct slope makes cross data match exactly
-    # at (0, 1)
-    idx_beta = _nearest_index(grid_a, beta)
-    situation = env.situations[0]
-
-    def belief_vec(size: int, idx: int) -> np.ndarray:
-        v = np.zeros(size)
-        v[idx] = 1.0
-        return v
+    @functools.cache
+    def reply_b(idx: int, a_opp: int) -> np.ndarray:
+        """B's best-reply mask against ``a_opp`` under intercept ``idx``; a
+        row's mean depends only on the quantity sum, so the rows (a_opp, i)
+        are the rows (i, a_opp)."""
+        rows = model_b.params[idx].kernel.rows_for_own(a_opp)
+        return best_reply_mask(np.einsum("iy,iy->i", rows, env.utility))
 
     def outcome(quad, idx_b: int) -> Zeitgeist:
         o = SituationOutcome(
-            situation=situation, quadruple=tuple(int(a) for a in quad),
-            belief_a=belief_vec(model_a.n_params, idx_beta),
-            belief_b=belief_vec(model_b.n_params, idx_b),
-            minimizers_a=(idx_beta,), minimizers_b=(idx_b,),
+            situation=env.situations[0], quadruple=quad,
+            belief_a=np.eye(1, model_a.n_params, idx_a)[0],
+            belief_b=np.eye(1, model_b.n_params, idx_b)[0],
+            minimizers_a=(idx_a,), minimizers_b=(idx_b,),
             all_infinite_a=False, all_infinite_b=False,
             mixture_a=False, mixture_b=False)
         return Zeitgeist((p_a, p_b), (o,))
 
     # rows fetched by the scan and its verification are memoized for this call
     with truth.bank:
-        pay_a = model_a.params[idx_beta].kernel.payoff_matrix(env.utility)
-        feasible_aa = fixed_points(pay_a)
-
-        states: list[Zeitgeist] = []
+        reply_a = best_reply_mask(model_a.params[idx_a].kernel.payoff_matrix(env.utility))
+        feasible_aa = np.flatnonzero(np.diagonal(reply_a)).tolist()
+        cross = np.argwhere(reply_a.T).tolist()    # (a_BA, a_AB): A's replies to B
+        found: list[tuple[int, int, int, int]] = []  # (a_AB, a_BA, a_BB, B's belief)
         if p_a == 1.0:
-            # cross data pins B's intercept through the realized quantity sum
-            triples: list[tuple[int, int, int]] = []   # (a_AB, a_BA, belief index)
-            for a_ba in range(n):
-                for a_ab in br_set(pay_a[:, a_ba]):
-                    target = beta + (q[a_ba] + q[a_ab]) * (r_hat - r)
-                    idx_b = _nearest_index(grid_b, target)
-                    col = pay_column(r_hat, grid_b[idx_b], a_ab)
-                    if best_reply_mask(col)[a_ba]:
-                        triples.append((int(a_ab), a_ba, idx_b))
-            for a_ab, a_ba, idx_b in triples:
-                kern_b = model_b.params[idx_b].kernel
-                for a_bb in fixed_points(kern_b.payoff_matrix(env.utility)):
-                    for a_aa in feasible_aa:
-                        states.append(outcome((a_aa, a_ab, a_ba, a_bb), idx_b))
+            # B's own play is any symmetric best reply under its pinned belief,
+            # read off the memoized payoff matrix that the verifier reuses
+            for a_ba, a_ab in cross:
+                idx_b = pinned(q[a_ba] + q[a_ab])
+                if reply_b(idx_b, a_ab)[a_ba]:
+                    pay_b = model_b.params[idx_b].kernel.payoff_matrix(env.utility)
+                    found += [(a_ab, a_ba, a_bb, idx_b) for a_bb in
+                              np.flatnonzero(np.diagonal(best_reply_mask(pay_b))).tolist()]
         else:
-            # own-group data pins B's intercept through twice its own quantity;
-            # only two payoff columns per candidate are ever needed, so the full
-            # subjective matrix is never formed
-            for a_bb in range(n):
-                target = beta + 2.0 * q[a_bb] * (r_hat - r)
-                idx_b = _nearest_index(grid_b, target)
-                intercept = grid_b[idx_b]
-                col_bb = pay_column(r_hat, intercept, a_bb)
-                if not best_reply_mask(col_bb)[a_bb]:
-                    continue
-                cols: dict[int, np.ndarray] = {}
-                for a_ba in range(n):
-                    for a_ab in br_set(pay_a[:, a_ba]):
-                        col = cols.get(a_ab)
-                        if col is None:
-                            col = cols[a_ab] = pay_column(r_hat, intercept, a_ab)
-                        if best_reply_mask(col)[a_ba]:
-                            for a_aa in feasible_aa:
-                                states.append(outcome((a_aa, a_ab, a_ba, a_bb), idx_b))
-
-        states.sort(key=lambda z: z.outcomes[0].quadruple)
+            # B's cross play must be a best reply under its pinned belief
+            for a_bb in range(len(q)):
+                idx_b = pinned(2.0 * q[a_bb])
+                if reply_b(idx_b, a_bb)[a_bb]:
+                    found += [(a_ab, a_ba, a_bb, idx_b) for a_ba, a_ab in cross
+                              if reply_b(idx_b, a_ab)[a_ba]]
+        states = sorted((outcome((a_aa, a_ab, a_ba, a_bb), idx_b)
+                         for a_ab, a_ba, a_bb, idx_b in found for a_aa in feasible_aa),
+                        key=lambda z: z.outcomes[0].quadruple)
         for z in states:
             ok, cert = verify_ez(z, env, model_a, model_b)
             if not ok:

@@ -172,8 +172,9 @@ class StageEnv:
         u = np.asarray(utility, dtype=float)
         if u.ndim == 1:
             u = np.broadcast_to(u, (len(self.strategies), u.shape[0])).copy()
-        if u.shape != (len(self.strategies), len(self.consequences)):
-            raise ValueError("utility must map consequences (optionally per own strategy) to reals")
+        if u.shape != (len(self.strategies), len(self.consequences)) or not np.isfinite(u).all():
+            raise ValueError("utility must map consequences (optionally per own strategy) "
+                             "to finite reals")
         self.utility = u
 
         self.monitoring = monitoring if monitoring is not None else MonitoringStructure.perfect(self.strategies)

@@ -62,6 +62,14 @@ class Policy:
     eps0: float = 0.0
     kappa: float = 1.0
 
+    def __post_init__(self):
+        if not (isinstance(self.burn_in, (int, np.integer)) and self.burn_in >= 0):
+            raise ValueError(f"burn_in must be a nonnegative integer, got {self.burn_in!r}")
+        if not 0.0 <= self.eps0 <= 1.0:
+            raise ValueError(f"eps0 must lie in [0, 1], got {self.eps0!r}")
+        if not 0.0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa!r}")
+
     def eps_at(self, t: int) -> float:
         return self.eps0 / (1.0 + t / self.kappa)
 
@@ -166,10 +174,10 @@ def _expanded_prior(model: Model, expanded: Model, prior) -> np.ndarray:
         raise ValueError(
             f"prior for model {model.label!r} has length {len(prior)}; expected "
             f"{p_n} (expanded) or {len(expanded.kernels)} (per kernel)")
-    if out.min() < 1e-12:
+    if not out.min() >= 1e-12:   # written so that NaN fails
         raise ValueError("priors must have full support (every mass >= 1e-12)")
     total = out.sum()
-    if abs(total - 1.0) > TOL:
+    if not abs(total - 1.0) <= TOL:
         raise ValueError("prior must sum to 1")
     return out / total
 

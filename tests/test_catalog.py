@@ -104,22 +104,31 @@ def test_discrete_duopoly_interior_share_rejected(cournot_51):
         catalog.cournot_discrete_ez(env, model_a, model_b, (0.5, 0.5))
 
 
-def test_discrete_duopoly_requires_builder_env(cournot_51):
+def test_discrete_duopoly_needs_no_builder_metadata(cournot_51):
+    # B's payoffs come from kernel rows and the utility, not from meta["cost"]
     spec, grid, env, model_a, model_b = cournot_51
     bare = StageEnv(strategies=env.strategies, consequences=env.consequences,
                     situations=env.situations, kernels=list(env.kernels),
                     utility=env.utility)
-    with pytest.raises(ValueError, match="unit cost"):
-        catalog.cournot_discrete_ez(bare, model_a, model_b, (1.0, 0.0))
+    assert not bare.meta
+    for shares in ((1.0, 0.0), (0.0, 1.0)):
+        got = catalog.cournot_discrete_ez(bare, model_a, model_b, shares)
+        want = catalog.cournot_discrete_ez(env, model_a, model_b, shares)
+        assert len(got) >= 1
+        assert [(o.quadruple, o.belief_a.tobytes(), o.belief_b.tobytes())
+                for z in got for o in z.outcomes] == \
+            [(o.quadruple, o.belief_a.tobytes(), o.belief_b.tobytes())
+             for z in want for o in z.outcomes]
 
 
-@pytest.mark.parametrize("bins", [60, 200])
+@pytest.mark.parametrize("points, bins", [(11, 60), (11, 200), (21, 60)],
+                         ids=["60", "200", "21-60"])
 @pytest.mark.parametrize("shares", [(1.0, 0.0), (0.0, 1.0)])
-def test_duopoly_scan_matches_generic_enumeration(bins, shares):
+def test_duopoly_scan_matches_generic_enumeration(points, bins, shares):
     # two independent code paths: the direct scan and the generic enumerator
     spec = catalog.CournotSpec(10.0, 2.0, 1.0, 0.5)
     env, model_a, model_b = catalog.build_cournot_discrete(
-        spec, np.linspace(0.0, 8.0, 11), bins, 2.0)
+        spec, np.linspace(0.0, 8.0, points), bins, 2.0)
     direct = catalog.cournot_discrete_ez(env, model_a, model_b, shares)
     generic = enumerate_ez(env, model_a, model_b, shares)
 
@@ -377,15 +386,15 @@ def test_mass_bank_serves_rows_bit_equal_to_direct_masses(cournot_51):
     mus = truth.intercept - truth.slope * (grid[7] + grid)
     with truth.bank:
         # a batch miss first, then single-row and overlapping batch hits
-        batch = truth.binned_mean(mus[::2])
+        batch = truth.bank.rows(mus[::2], truth.masses)
         served = [(k.rows_for_own(i), k.masses(k.intercept - k.slope * (grid[i] + grid)))
                   for k in kernels for i in (0, 7, 50)]
         singles = [(k.row(i, j), k.masses(k.mean(i, j))[0])
                    for k in kernels for i, j in ((0, 0), (7, 3), (50, 49))]
-        again = truth.binned_mean(mus)
+        again = truth.bank.rows(mus, truth.masses)
         assert len(truth.bank) > 0
-    assert batch.tobytes() == (truth.masses(mus[::2]) @ truth.bank.centers).tobytes()
-    assert again.tobytes() == (truth.masses(mus) @ truth.bank.centers).tobytes()
+    assert batch.tobytes() == truth.masses(mus[::2]).tobytes()
+    assert again.tobytes() == truth.masses(mus).tobytes()
     for got, want in served + singles:
         assert got.tobytes() == want.tobytes()
 

@@ -215,6 +215,23 @@ def test_learn_zero_horizon_exits_two(tmp_path, capsys):
     assert "horizon 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra, key", [("policy: {kappa: 0}\n", "kappa"),
+                                        ("prior_a: [.nan]\n", "prior")],
+                         ids=["zero_kappa", "nan_prior"])
+def test_learn_rejects_invalid_sim_inputs(tmp_path, capsys, extra, key):
+    # kappa = 0 would divide by zero in eps_at, and a NaN prior would run
+    # to completion with NaN posteriors
+    env_path, model_path = _save_pair(coordination_env(), tmp_path)
+    sim_path = tmp_path / "sim.yaml"
+    sim_path.write_text("kind: sim\nn_agents: 16\nshares: [0.5, 0.5]\n"
+                        "horizon: 40\nseed: 5\n" + extra)
+    rc = cli.main(["learn", "--env", env_path, "--model-a", model_path,
+                   "--model-b", model_path, "--sim", str(sim_path),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+
+
 def test_reproduce_subset(capsys):
     rc = cli.main(["reproduce", "--only", "cournot,dollar"])
     assert rc == 0

@@ -259,6 +259,24 @@ def test_model_validation_errors():
              "params": [{"conj_a": [0, 0, 0], "kernel": 0}]}, "doc")
 
 
+def test_non_finite_utility_is_a_config_error():
+    doc = config.env_to_dict(coordination_env())
+    doc["utility"][0][1] = float("nan")
+    with pytest.raises(config.ConfigError, match="doc: .*finite"):
+        config.env_from_dict(doc, "doc")
+
+
+@pytest.mark.parametrize("policy", ["{kappa: 0}", "{kappa: -2}", "{kappa: .inf}",
+                                    "{eps0: .nan}", "{eps0: 1.5}", "{burn_in: -1}"])
+def test_invalid_policy_is_a_config_error(tmp_path, policy):
+    path = tmp_path / "sim.yaml"
+    path.write_text("kind: sim\nn_agents: 10\nshares: [0.5, 0.5]\n"
+                    f"horizon: 5\nseed: 1\npolicy: {policy}\n")
+    key = policy[1:policy.index(":")]
+    with pytest.raises(config.ConfigError, match=key):
+        config.load_sim(path)
+
+
 def test_errors_carry_a_single_location_prefix(tmp_path):
     path = tmp_path / "sim.yaml"
     path.write_text("kind: sim\nn_agents: 10\nshares: [0.5, 0.5]\n"

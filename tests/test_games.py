@@ -139,6 +139,14 @@ class TestStageEnv:
         with pytest.raises(ValueError):
             StageEnv(["a", "b"], ["c"], ["G1", "G2"], [t], np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_utility_rejected(self, bad):
+        # a NaN utility would empty every best-reply mask without an error
+        base = coordination_env()
+        with pytest.raises(ValueError, match="finite"):
+            StageEnv(base.strategies, base.consequences, base.situations,
+                     list(base.kernels), np.array([2.0, bad, 0.0]))
+
     def test_scalar_utility_broadcasts(self):
         env = coordination_env()
         assert env.utility.shape == (2, 3)

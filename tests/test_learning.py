@@ -157,6 +157,26 @@ def test_exploration_policy_decays():
     assert all(a > b for a, b in zip(eps, eps[1:]))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("kappa", 0.0), ("kappa", -1.0), ("kappa", float("nan")), ("kappa", float("inf")),
+    ("eps0", float("nan")), ("eps0", -0.1), ("eps0", 1.5),
+    ("burn_in", -1), ("burn_in", 2.5)])
+def test_policy_rejects_invalid_schedule(field, value):
+    # kappa = 0 would divide by zero in eps_at at period 1
+    with pytest.raises(ValueError, match=field):
+        Policy(**{field: value})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_prior_is_rejected(bad):
+    env = coordination_env()
+    model = minimal_correct_model(env)
+    prior = np.full(model.n_params, 1.0 / model.n_params)
+    prior[0] = bad
+    with pytest.raises(ValueError, match="prior"):
+        run_learning(env, model, model, _small_config(prior_a=prior))
+
+
 def test_entrant_world_learning_reaches_discount_belief():
     spec = catalog.InvestmentSpec(1.0, 5.5, 12.0)
     env, model_a, model_b, _ = catalog.build_investment_game(spec)
