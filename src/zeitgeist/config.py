@@ -86,6 +86,15 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _integer(value, key: str, where: str) -> int | None:
+    """``value`` as an int, None passing through.  Integral floats are
+    accepted; bools, fractions, NaN, inf and strings are rejected."""
+    if isinstance(value, bool) or not (value is None or isinstance(value, (int, np.integer))
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
+    return None if value is None else int(value)
+
+
 def _float_list(x):
     return np.asarray(x, dtype=float).tolist()
 
@@ -192,8 +201,6 @@ def model_to_dict(model: Model) -> dict:
         doc["params"] = [
             {"conj_a": list(p.conj_a), "kernel": p.kernel_index, "label": p.label}
             for p in model.params]
-    if model.perturb_eps is not None:
-        doc["perturb_eps"] = model.perturb_eps
     if meta:
         doc["meta"] = meta
     return doc
@@ -212,25 +219,24 @@ def model_from_dict(doc: dict, where: str = "<model>") -> Model:
     if len(kernel_labels) != len(kernels):
         raise ConfigError(f"{where}: {len(kernels)} kernels but "
                           f"{len(kernel_labels)} kernel_labels")
-    perturb = doc.get("perturb_eps")
     meta = doc.get("meta") or {}
     if doc.get("form") == "certainty":
-        return _certainty_form_model(label, kernels, kernel_labels, perturb, meta)
+        return _certainty_form_model(label, kernels, kernel_labels, meta)
     params = []
     for pi, pd in enumerate(_require(doc, "params", where)):
-        ki = int(_require(pd, "kernel", f"{where}: params[{pi}]"))
+        ki = _integer(_require(pd, "kernel", f"{where}: params[{pi}]"),
+                      f"params[{pi}].kernel", where)
         if not 0 <= ki < len(kernels):
             raise ConfigError(f"{where}: params[{pi}] kernel index {ki} "
                               f"out of range for {len(kernels)} kernels")
         conj = _require(pd, "conj_a", f"{where}: params[{pi}]")
-        conj = tuple(None if c is None else int(c) for c in conj)
+        conj = tuple(_integer(c, f"params[{pi}].conj_a", where) for c in conj)
         if len(conj) != 2:
             raise ConfigError(f"{where}: params[{pi}] conj_a needs two entries")
         params.append(Parameter(conj, kernels[ki], ki,
                                 label=str(pd.get("label", ""))))
     return Model(label, params, strategic_certainty_form=False,
-                 kernels=kernels, kernel_labels=kernel_labels,
-                 perturb_eps=perturb, meta=meta)
+                 kernels=kernels, kernel_labels=kernel_labels, meta=meta)
 
 
 def load_model(path) -> Model:
@@ -281,12 +287,12 @@ def sim_from_dict(doc: dict, where: str = "<sim>") -> SimConfig:
 
 def _build_sim(doc: dict, pol: dict, where: str) -> SimConfig:
     return SimConfig(
-            n_agents=int(_require(doc, "n_agents", where)),
+            n_agents=_integer(_require(doc, "n_agents", where), "n_agents", where),
             shares=tuple(float(v) for v in _require(doc, "shares", where)),
-            horizon=int(_require(doc, "horizon", where)),
-            seed=int(_require(doc, "seed", where)),
+            horizon=_integer(_require(doc, "horizon", where), "horizon", where),
+            seed=_integer(_require(doc, "seed", where), "seed", where),
             tau=float(doc.get("tau", 0.99)),
-            policy=Policy(burn_in=int(pol.get("burn_in", 10)),
+            policy=Policy(burn_in=_integer(pol.get("burn_in", 10), "policy.burn_in", where),
                           eps0=float(pol.get("eps0", 0.0)),
                           kappa=float(pol.get("kappa", 1.0))),
             prior_a=None if doc.get("prior_a") is None
@@ -295,8 +301,7 @@ def _build_sim(doc: dict, pol: dict, where: str) -> SimConfig:
             else np.asarray(doc["prior_b"], dtype=float),
             q=None if doc.get("q") is None
             else tuple(float(v) for v in doc["q"]),
-            situation_period=None if doc.get("situation_period") is None
-            else int(doc["situation_period"]),
+            situation_period=_integer(doc.get("situation_period"), "situation_period", where),
         )
 
 

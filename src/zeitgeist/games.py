@@ -224,19 +224,23 @@ def best_response_indices(env: StageEnv, G, j: int) -> np.ndarray:
     return np.flatnonzero(best_reply_mask(env.payoff_matrix(G)[:, j]))
 
 
+def _followers(U: np.ndarray) -> np.ndarray:
+    """Opponent best reply to every leader strategy i that is worst for i,
+    ties to the lowest index: one best-reply mask, one ``tie_tolerance`` per row."""
+    replies = best_reply_mask(U).T                      # [leader i, reply r]
+    mine = np.where(replies, U, np.inf)
+    worst = mine.min(axis=1) + slack(np.where(replies, np.abs(U), 0.0).max(axis=1))
+    return np.argmax(replies & (mine <= worst[:, None]), axis=1)
+
+
 def min_tiebreak_best_response(env: StageEnv, G, a_i) -> str:
     """Opponent best reply to ``a_i`` that is worst for the ``a_i`` player.
 
     Among the opponent's best replies, picks the one minimizing the payoff of
     the agent playing ``a_i``; remaining ties break to the lowest strategy index.
     """
-    i = env.strategy_index(a_i)
-    U = env.payoff_matrix(G)
-    replies = best_response_indices(env, G, i)
-    mine = U[i, replies]
-    worst = mine.min() + tie_tolerance(mine)
-    pick = replies[np.flatnonzero(mine <= worst)[0]]
-    return env.strategies[int(pick)]
+    follower = _followers(env.payoff_matrix(G))[env.strategy_index(a_i)]
+    return env.strategies[int(follower)]
 
 
 @dataclass(frozen=True)
@@ -277,16 +281,14 @@ class StackelbergResult:
     strategy: str
     value: float
     follower: str
-    unique: bool
 
 
 def stackelberg(env: StageEnv, G) -> StackelbergResult:
     """Commitment strategy maximizing payoff when the opponent best-replies,
-    with opponent ties resolved against the committing agent."""
+    with opponent ties resolved against the committing agent (``_followers``)."""
     U = env.payoff_matrix(G)
-    followers = [min_tiebreak_best_response(env, G, a) for a in env.strategies]
-    values = np.array([U[i, env.strategy_index(f)] for i, f in enumerate(followers)])
-    winners = np.flatnonzero(best_reply_mask(values))
-    lead = int(winners[0])
+    followers = _followers(U)
+    values = U[np.arange(env.n_strategies), followers]
+    lead = int(np.argmax(best_reply_mask(values)))
     return StackelbergResult(env.strategies[lead], float(values[lead]),
-                             followers[lead], unique=len(winners) == 1)
+                             env.strategies[int(followers[lead])])

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import (DenseKernel, StageEnv, best_response_indices,
-                    min_tiebreak_best_response, stackelberg)
+from .games import DenseKernel, StageEnv, _followers, best_response_indices, stackelberg
 from .inference import kl_divergence
 
 AUDIT_MARGIN = 1e-6
@@ -50,7 +49,6 @@ class Model:
     strategic_certainty_form: bool
     kernels: list[object]
     kernel_labels: list[str]
-    perturb_eps: float | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -84,16 +82,15 @@ class Model:
                     label=f"{self.kernel_labels[k]}|A:{env.strategies[ca]},B:{env.strategies[cb]}"))
         return Model(self.label, params, strategic_certainty_form=False,
                      kernels=list(self.kernels), kernel_labels=list(self.kernel_labels),
-                     perturb_eps=self.perturb_eps,
                      meta={**self.meta, "expanded_from_certainty_form": True})
 
 
-def _certainty_form_model(label: str, kernels, kernel_labels, perturb_eps=None, meta=None) -> Model:
+def _certainty_form_model(label: str, kernels, kernel_labels, meta=None) -> Model:
     params = [Parameter((None, None), k, i, label=kernel_labels[i])
               for i, k in enumerate(kernels)]
     return Model(label, params, strategic_certainty_form=True,
                  kernels=list(kernels), kernel_labels=list(kernel_labels),
-                 perturb_eps=perturb_eps, meta=dict(meta or {}))
+                 meta=dict(meta or {}))
 
 
 def minimal_correct_model(env: StageEnv) -> Model:
@@ -126,10 +123,11 @@ def illusion_of_control_model(env: StageEnv, perturb_eps: float = 1e-3) -> Model
     """Model attributing the opponent's equilibrium response to the situation.
 
     For each situation ``G`` the kernel sends own strategy ``a`` to the true
-    consequence distribution at (a, worst-case best reply to a in G), so the
-    opponent's reaction is baked into the perceived fundamentals and the
-    kernel ignores the opponent argument.  Rows are mixed with a uniform
-    perturbation of weight ``perturb_eps`` and an exhaustive audit checks the
+    consequence distribution at (a, worst-case best reply to a in G), one
+    follower array per situation, so the opponent's reaction is baked into
+    the perceived fundamentals and the kernel ignores the opponent argument.
+    Rows are mixed with a uniform perturbation of weight ``perturb_eps``,
+    recorded in the model's ``meta``, and an exhaustive audit checks the
     per-profile minimizer over situations is unique; ties raise.
     """
     if not np.isfinite(perturb_eps) or perturb_eps <= 0.0:
@@ -143,13 +141,11 @@ def illusion_of_control_model(env: StageEnv, perturb_eps: float = 1e-3) -> Model
 
     uniform = np.full(ny, 1.0 / ny)
     kernels = []
-    for G in env.situations:
-        table = np.empty((n, n, ny))
-        for a in range(n):
-            reply = env.strategy_index(min_tiebreak_best_response(env, G, a))
-            row = (1.0 - perturb_eps) * env.kernel(G).row(a, reply) + perturb_eps * uniform
-            table[a, :, :] = row  # opponent-independent by construction
-        kernels.append(DenseKernel(table))
+    for k in env.kernels:
+        follow = _followers(k.payoff_matrix(env.utility))
+        rows = np.array([k.row(a, int(r)) for a, r in enumerate(follow)])
+        rows = (1.0 - perturb_eps) * rows + perturb_eps * uniform
+        kernels.append(DenseKernel(np.repeat(rows[:, None], n, axis=1)))  # opponent-independent
 
     # audit: every data profile must single out one situation kernel
     for gi, G in enumerate(env.situations):
@@ -166,7 +162,7 @@ def illusion_of_control_model(env: StageEnv, perturb_eps: float = 1e-3) -> Model
 
     return _certainty_form_model(
         "illusion_of_control", kernels, [f"as_if[{G}]" for G in env.situations],
-        perturb_eps=perturb_eps, meta={"builder": "illusion_of_control"})
+        meta={"builder": "illusion_of_control", "perturb_eps": float(perturb_eps)})
 
 
 @dataclass(frozen=True)
@@ -176,9 +172,6 @@ class IdentifiabilityReport:
     situation_witnesses: tuple = ()
     stackelberg_witnesses: tuple = ()
 
-    def __iter__(self):  # convenient (situation, stackelberg) unpacking
-        return iter((self.situation_id, self.stackelberg_id))
-
 
 def check_identifiability(env: StageEnv) -> IdentifiabilityReport:
     """Two distinguishability conditions on the true kernels.
@@ -186,36 +179,27 @@ def check_identifiability(env: StageEnv) -> IdentifiabilityReport:
     Situation identifiability: kernels of distinct situations differ at every
     strategy profile.  Commitment identifiability: for each situation's best
     commitment strategy, the data it generates under rational replies differs
-    across situations, for every selection of replies.
+    across situations, for every selection of replies.  Kernel rows are
+    stacked once as [g, i, j, y]; each pair of situations, or of reply sets,
+    is one test, and witnesses keep (g1, g2, i, j) or (g1, g2, r1, r2) order.
     """
-    n = env.n_strategies
-    sit_wit = []
-    for g1 in range(env.n_situations):
-        for g2 in range(g1 + 1, env.n_situations):
-            for i in range(n):
-                for j in range(n):
-                    gap = np.max(np.abs(env.kernels[g1].row(i, j) - env.kernels[g2].row(i, j)))
-                    if gap <= 1e-12:
-                        sit_wit.append((env.situations[g1], env.situations[g2],
-                                        env.strategies[i], env.strategies[j]))
+    S, A = env.situations, env.strategies
+    rows = np.array([[k.rows_for_own(i) for i in range(env.n_strategies)] for k in env.kernels])
+    sit_wit = [(S[g1], S[g2], A[i], A[j])
+               for g1, g2 in itertools.combinations(range(len(S)), 2)
+               for i, j in np.argwhere(np.abs(rows[g1] - rows[g2]).max(axis=-1) <= 1e-12)]
 
     stack_wit = []
-    leads = [stackelberg(env, G) for G in env.situations]
-    for g1, G1 in enumerate(env.situations):
-        lead = env.strategy_index(leads[g1].strategy)
-        replies1 = best_response_indices(env, G1, lead)
-        for g2, G2 in enumerate(env.situations):
+    for g1, G1 in enumerate(S):
+        lead = env.strategy_index(stackelberg(env, G1).strategy)
+        replies = [best_response_indices(env, G, lead) for G in S]
+        for g2, G2 in enumerate(S):
             if g2 == g1:
                 continue
-            replies2 = best_response_indices(env, G2, lead)
-            for r1 in replies1:
-                for r2 in replies2:
-                    gap = np.max(np.abs(env.kernels[g1].row(lead, r1)
-                                        - env.kernels[g2].row(lead, r2)))
-                    if gap <= 1e-12:
-                        stack_wit.append((G1, G2, env.strategies[lead],
-                                          env.strategies[int(r1)], env.strategies[int(r2)]))
+            data1, data2 = rows[g1, lead, replies[g1]], rows[g2, lead, replies[g2]]
+            block = np.abs(data1[:, None] - data2[None]).max(axis=-1) <= 1e-12
+            stack_wit += [(G1, G2, A[lead], A[replies[g1][r1]], A[replies[g2][r2]])
+                          for r1, r2 in np.argwhere(block)]
 
     return IdentifiabilityReport(not sit_wit, not stack_wit,
                                  tuple(sit_wit), tuple(stack_wit))
-

@@ -212,7 +212,8 @@ def affine_stable_shares(m: np.ndarray | None) -> StableSharesResult:
 def share_cell_ends(problems: list[SituationProblem]) -> tuple[float, ...]:
     """Cell ends of prebuilt situation problems: 0 and 1 twice each, and
     every share in (0, 1) where two finite objective lines of a group cross
-    on their lower envelope, for any triple, merged within ``TOL``.
+    on their lower envelope, for any triple; a cut within ``TOL`` above
+    the last end kept is merged into it.
 
     Parameter t's line at own share w is cross + w (diag - cross) on the
     triple axes [x, y, z], and group B's own share is 1 - p_A.  A line with
@@ -231,9 +232,11 @@ def share_cell_ends(problems: list[SituationProblem]) -> tuple[float, ...]:
                 best = np.minimum(best, np.where(inf[r], np.inf, icpt[r] + w * slope[r]))
             w = w[icpt[:, None] + w * slope[:, None] <= best + slack(np.abs(best))]
             cuts += list(1.0 - w if g else w)
-    cuts = np.unique([w for w in cuts if TOL < w < 1.0 - TOL])
-    cuts = cuts[np.diff(cuts, prepend=-1.0) > TOL]
-    return (0.0, 0.0, *(float(w) for w in cuts), 1.0, 1.0)
+    ends = [0.0, 0.0]
+    for w in np.unique([w for w in cuts if TOL < w < 1.0 - TOL]):
+        if w - ends[-1] > TOL:                  # against the last end kept
+            ends.append(float(w))
+    return (*ends, 1.0, 1.0)
 
 
 def stable_shares(env: StageEnv, model_a, model_b, q=None) -> StableSharesResult:
@@ -289,6 +292,8 @@ def singleton_fragility_check(env: StageEnv) -> SeparationResult:
     weights to full support while the strict inequalities survive.  Each
     situation's rule points are one gather from its best-reply mask (entry
     [j, b[j]] for every opponent reply j); the weights come from ``max_margin``.
+    The margin at weights q is one ``np.vecdot`` (a 1-D ``@`` per row, bit
+    for bit) over the rules with no -inf where q puts mass.
     """
     m = env.n_situations
     n = env.n_strategies
@@ -320,26 +325,19 @@ def singleton_fragility_check(env: StageEnv) -> SeparationResult:
     q_star, lp_margin = found
 
     def strict_margin_at(qv: np.ndarray) -> float:
-        base = float(qv @ nash_vals)
         sup = qv > 0.0
-        worst = np.inf
-        for vals in points:
-            if np.isneginf(vals[sup]).any():
-                continue                  # rule never consistent where q puts mass
-            worst = min(worst, base - float(qv[sup] @ vals[sup]))
-        return worst
+        live = table[:, sup][~np.isneginf(table[:, sup]).any(axis=1)]
+        return float(np.min(float(qv @ nash_vals) - np.vecdot(live, qv[sup]), initial=np.inf))
 
     separating_q = None
     margin = strict_margin_at(q_star)
     eps_used = 0.0
     if lp_margin > TOL:
-        eps = 0.1
-        while eps >= 1e-12:
+        for eps in (0.1 * 0.5 ** k for k in range(37)):     # 0.1 halved down to 1e-12
             q_tilt = (1.0 - eps) * q_star + eps / m
             sm = strict_margin_at(q_tilt)
             if sm > TOL:
                 separating_q, margin, eps_used = q_tilt, sm, eps
                 break
-            eps *= 0.5
     return SeparationResult(nash_vals, tuple(points), tuple(rules),
                             separating_q, margin, lp_margin, eps_used)

@@ -60,6 +60,29 @@ def random_env(rng: np.random.Generator, n_strategies=2, n_consequences=3,
         kernels=kernels, utility=utility)
 
 
+def tie_env(rng: np.random.Generator, n_strategies=3, n_situations=2,
+            n_consequences=3, jitter=0.0) -> StageEnv:
+    """Environment rich in ties: kernel masses are multiples of small
+    fractions, utilities are 0 or 1 plus ``jitter`` times a standard normal
+    (so nonzero jitter far below ``TOL`` gives ties within the slack), and
+    the last situation copies about two thirds of the first one's rows."""
+    shape = (n_strategies, n_strategies, n_consequences)
+    kernels = []
+    for _ in range(n_situations):
+        counts = rng.integers(0, 2, size=shape).astype(float)
+        counts[..., 0] += 1.0
+        kernels.append(counts / counts.sum(axis=-1, keepdims=True))
+    copied = rng.random(shape[:2]) < 2.0 / 3.0
+    kernels[-1][copied] = kernels[0][copied]
+    return StageEnv(
+        strategies=[f"s{i}" for i in range(n_strategies)],
+        consequences=[f"c{i}" for i in range(n_consequences)],
+        situations=[f"G{i}" for i in range(n_situations)],
+        kernels=kernels,
+        utility=(rng.integers(0, 2, size=(n_strategies, n_consequences))
+                 + jitter * rng.standard_normal((n_strategies, n_consequences))))
+
+
 def random_model(rng: np.random.Generator, env: StageEnv, n_params: int,
                  label: str) -> Model:
     """Explicit model with random kernels and random (possibly free)

@@ -232,6 +232,18 @@ def test_learn_rejects_invalid_sim_inputs(tmp_path, capsys, extra, key):
     assert key in capsys.readouterr().err
 
 
+def test_learn_rejects_a_fractional_agent_count(tmp_path, capsys):
+    env_path, model_path = _save_pair(coordination_env(), tmp_path)
+    sim_path = tmp_path / "sim.yaml"
+    sim_path.write_text("kind: sim\nn_agents: 16.5\nshares: [0.5, 0.5]\n"
+                        "horizon: 40\nseed: 5\n")
+    rc = cli.main(["learn", "--env", env_path, "--model-a", model_path,
+                   "--model-b", model_path, "--sim", str(sim_path),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "n_agents must be an integer, got 16.5" in capsys.readouterr().err
+
+
 def test_reproduce_subset(capsys):
     rc = cli.main(["reproduce", "--only", "cournot,dollar"])
     assert rc == 0

@@ -277,6 +277,44 @@ def test_invalid_policy_is_a_config_error(tmp_path, policy):
         config.load_sim(path)
 
 
+def _sim_with(tmp_path, key, value):
+    doc = {"n_agents": "10", "shares": "[0.5, 0.5]", "horizon": "5", "seed": "1", key: value}
+    path = tmp_path / "sim.yaml"
+    path.write_text("kind: sim\n" + "".join(f"{k}: {v}\n" for k, v in doc.items()))
+    return path
+
+
+@pytest.mark.parametrize("key, value", [("n_agents", "10.7"), ("horizon", "5.9"),
+                                        ("seed", "3.2"), ("seed", ".inf"),
+                                        ("n_agents", ".nan"), ("n_agents", "true"),
+                                        ("horizon", "'5'"), ("situation_period", "2.5")])
+def test_fractional_integer_fields_are_config_errors(tmp_path, key, value):
+    path = _sim_with(tmp_path, key, value)
+    with pytest.raises(config.ConfigError, match=f"{path}: {key} must be an integer"):
+        config.load_sim(path)
+    loaded = getattr(config.load_sim(_sim_with(tmp_path, key, "4.0")), key)
+    assert type(loaded) is int and loaded == 4
+
+
+def test_fractional_burn_in_is_a_config_error(tmp_path):
+    path = _sim_with(tmp_path, "policy", "{burn_in: 2.5}")
+    with pytest.raises(config.ConfigError, match=f"{path}: policy.burn_in must be an integer"):
+        config.load_sim(path)
+    assert config.load_sim(_sim_with(tmp_path, "policy", "{burn_in: 2.0}")).policy.burn_in == 2
+
+
+@pytest.mark.parametrize("param", [{"conj_a": [0, 0], "kernel": 1.5},
+                                   {"conj_a": [0, 0], "kernel": True},
+                                   {"conj_a": [0.7, None], "kernel": 0}])
+def test_fractional_model_indices_are_config_errors(param):
+    k = [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+    doc = {"kind": "model", "kernels": [k, k], "params": [param]}
+    with pytest.raises(config.ConfigError, match="doc: params.0..* must be an integer"):
+        config.model_from_dict(doc, "doc")
+    ok = config.model_from_dict({**doc, "params": [{"conj_a": [1.0, None], "kernel": 1.0}]}, "doc")
+    assert ok.params[0].conj_a == (1, None) and ok.params[0].kernel_index == 1
+
+
 def test_errors_carry_a_single_location_prefix(tmp_path):
     path = tmp_path / "sim.yaml"
     path.write_text("kind: sim\nn_agents: 10\nshares: [0.5, 0.5]\n"

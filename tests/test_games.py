@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import zeitgeist
-from conftest import coordination_env, decision_env, mismatch_env
+from conftest import coordination_env, decision_env, mismatch_env, tie_env
 from zeitgeist.games import (
     DenseKernel,
     MonitoringStructure,
@@ -223,6 +223,28 @@ def test_stackelberg_adversarial_ties():
     res = stackelberg(env, "G")
     assert res.strategy == "a"
     assert res.value == pytest.approx(4.0)
+
+    # tie-heavy draws against a per-strategy walk over each reply set; odd
+    # draws tie within the slack rather than exactly
+    for k in range(150):
+        rng = np.random.default_rng(300 + k)
+        env = tie_env(rng, n_strategies=int(rng.integers(2, 6)),
+                      n_situations=int(rng.integers(1, 4)), jitter=(k % 2) * 1e-12)
+        for G in env.situations:
+            U = env.payoff_matrix(G)
+            followers = []
+            for i in range(env.n_strategies):
+                replies = best_response_indices(env, G, i)
+                mine = U[i, replies]
+                followers.append(int(replies[np.flatnonzero(
+                    mine <= mine.min() + tie_tolerance(mine))[0]]))
+                assert min_tiebreak_best_response(env, G, i) == env.strategies[followers[-1]]
+            values = np.array([U[i, f] for i, f in enumerate(followers)])
+            lead = int(np.flatnonzero(best_reply_mask(values))[0])
+            res = stackelberg(env, G)
+            assert (res.strategy, res.value.hex(), res.follower) == (
+                env.strategies[lead], float(values[lead]).hex(),
+                env.strategies[followers[lead]])
 
 
 def test_fitness_weights_validation():

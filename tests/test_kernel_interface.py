@@ -66,7 +66,7 @@ def _bits(obj):
 
 
 def _model_bits(model, n):
-    return (model.label, tuple(model.kernel_labels), model.perturb_eps,
+    return (model.label, tuple(model.kernel_labels), model.meta.get("perturb_eps"),
             tuple((p.conj_a, p.kernel_index, p.label) for p in model.params),
             tuple(k.rows_for_own(i).tobytes() for k in model.kernels for i in range(n)))
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import coordination_env, decision_env, mismatch_env
+from conftest import coordination_env, decision_env, mismatch_env, tie_env
 from zeitgeist import catalog
-from zeitgeist.games import DenseKernel, MonitoringStructure, StageEnv
+from zeitgeist.games import (DenseKernel, MonitoringStructure, StageEnv,
+                             best_response_indices, stackelberg)
 from zeitgeist.models import (
+    IdentifiabilityReport,
     Model,
     Parameter,
     check_identifiability,
@@ -63,7 +65,7 @@ def test_illusion_of_control_bakes_replies_into_fundamentals():
     env = catalog.build_two_situation_game()
     eps = 1e-3
     warped = illusion_of_control_model(env, perturb_eps=eps)
-    assert warped.perturb_eps == pytest.approx(eps)
+    assert warped.meta["perturb_eps"] == pytest.approx(eps)
     assert len(warped.kernels) == env.n_situations
     ny = len(env.consequences)
     for gi, G in enumerate(env.situations):
@@ -88,8 +90,7 @@ def test_illusion_of_control_rejects_degenerate_perturbation():
 def test_identifiability_two_situation_env():
     env = catalog.build_two_situation_game()
     rep = check_identifiability(env)
-    situation_id, stackelberg_id = rep
-    assert situation_id and stackelberg_id
+    assert rep.situation_id and rep.stackelberg_id
 
 
 def test_identifiability_fails_on_duplicate_situations():
@@ -126,6 +127,31 @@ def test_commitment_data_can_alias_across_situations():
     assert rep.situation_id
     assert not rep.stackelberg_id
     assert rep.stackelberg_witnesses
+
+    # witnesses and their order against nested loops over kernel rows, on
+    # draws whose situations share most rows
+    with_witnesses = 0
+    for k in range(120):
+        rng = np.random.default_rng(600 + k)
+        env = tie_env(rng, n_strategies=int(rng.integers(2, 5)),
+                      n_situations=int(rng.integers(2, 4)))
+        S, A, n = env.situations, env.strategies, env.n_strategies
+
+        def same(g1, i, j1, g2, j2):
+            return np.max(np.abs(env.kernels[g1].row(i, j1) - env.kernels[g2].row(i, j2))) <= 1e-12
+
+        sit = [(S[g1], S[g2], A[i], A[j]) for g1 in range(len(S)) for g2 in range(g1 + 1, len(S))
+               for i in range(n) for j in range(n) if same(g1, i, j, g2, j)]
+        stack = []
+        for g1, G1 in enumerate(S):
+            lead = env.strategy_index(stackelberg(env, G1).strategy)
+            stack += [(G1, G2, A[lead], A[r1], A[r2]) for g2, G2 in enumerate(S) if g2 != g1
+                      for r1 in best_response_indices(env, G1, lead)
+                      for r2 in best_response_indices(env, G2, lead) if same(g1, lead, r1, g2, r2)]
+        rep = check_identifiability(env)
+        assert rep == IdentifiabilityReport(not sit, not stack, tuple(sit), tuple(stack))
+        with_witnesses += bool(sit) and bool(stack)
+    assert with_witnesses >= 40
 
 
 def test_mismatch_env_has_no_symmetric_fixture():

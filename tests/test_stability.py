@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import (coordination_env, decision_env, mismatch_env, random_env,
                       random_model)
 from zeitgeist import catalog, solver, stability
-from zeitgeist.games import TOL, StageEnv, best_response_indices
+from zeitgeist.games import TOL, StageEnv, best_response_indices, symmetric_nash
 from zeitgeist.models import illusion_of_control_model, minimal_correct_model
 from zeitgeist.solver import SituationProblem
 from zeitgeist.stability import (
@@ -277,6 +278,35 @@ def test_cells_hold_one_state_list():
     assert multi_cell >= 16 and infinite >= 10 and compared >= 350
 
 
+def _line_tables(intercepts, slopes):
+    """One group's tables with one line per parameter on a single triple:
+    parameter t's objective at own share w is intercepts[t] + w slopes[t]."""
+    cross = np.asarray(intercepts, dtype=float)[:, None, None]          # [t, y, z]
+    diag = cross[:, :, 0] + np.asarray(slopes, dtype=float)[:, None]    # [t, x]
+    return SimpleNamespace(n_params=len(cross), cross=cross, diag=diag,
+                           inf_own=np.zeros(diag.shape, bool),
+                           inf_cross=np.zeros(cross.shape, bool))
+
+
+def test_cell_ends_merge_against_the_last_kept_end():
+    # four lines whose lower envelope turns at 0.3, 0.3 + d and 0.3 + 2d,
+    # d = 0.6 TOL; every other crossing lies at least 3 TOL above it.  The
+    # middle turn merges into the first; the last is 1.2 TOL from it and
+    # is its own end, although it lies within TOL of the middle one.
+    c, d = 0.3, 0.6 * TOL
+    turns = (c, c + d, c + 2 * d)
+    slopes = [0.0, -10.0, -20.0, -30.0]
+    intercepts = [0.0]
+    for t, w in enumerate(turns):                # line t + 1 meets line t at w
+        intercepts.append(intercepts[t] + w * (slopes[t] - slopes[t + 1]))
+    problem = SimpleNamespace(groups=[_line_tables(intercepts, slopes),
+                                      _line_tables([1.0], [0.0])])
+    ends = stability.share_cell_ends([problem])
+    assert len(ends) == 6
+    assert ends[2:4] == pytest.approx((c, c + 2 * d), abs=1e-14)
+    assert ends[3] - ends[2] > TOL
+
+
 def test_investment_band_matches_the_paper():
     # entrants (group B) out-earn the residents only as a majority: below
     # the no-state band the gap is -0.5 + 0.5 p, negative until p_B < 5/9;
@@ -366,11 +396,37 @@ def _reference_rule_points(env):
     return rules, points
 
 
+def _reference_margins(env, points):
+    """The separation check's weights and margins with a per-rule walk:
+    (separating_q, margin, eps_tilt, lp_margin)."""
+    m = env.n_situations
+    nash = np.array([symmetric_nash(env, G).value for G in env.situations])
+    finite = [v for v in points if np.isfinite(v).all()]
+    q_star, lp_margin = (solver.max_margin((nash - np.array(finite)).T) if finite
+                         else (np.full(m, 1.0 / m), np.inf))
+
+    def walk(qv):
+        base, sup, worst = float(qv @ nash), qv > 0.0, np.inf
+        for vals in points:
+            if not np.isneginf(vals[sup]).any():
+                worst = min(worst, base - float(qv[sup] @ vals[sup]))
+        return worst
+
+    if lp_margin > TOL:
+        eps = 0.1
+        while eps >= 1e-12:
+            q_tilt = (1.0 - eps) * q_star + eps / m
+            if walk(q_tilt) > TOL:
+                return q_tilt, walk(q_tilt), eps, lp_margin
+            eps *= 0.5
+    return None, walk(q_star), 0.0, lp_margin
+
+
 def test_rule_points_match_a_per_rule_loop():
-    checked = 0
-    for k in range(50):
+    checked = tilted = 0
+    for k in range(70):                  # draws 50 to 69 have 3125 rules each
         rng = np.random.default_rng(900 + k)
-        env = random_env(rng, n_strategies=int(rng.integers(2, 5)),
+        env = random_env(rng, n_strategies=int(rng.integers(2, 5)) if k < 50 else 5,
                          n_situations=int(rng.integers(1, 4)))
         try:
             res = singleton_fragility_check(env)
@@ -382,5 +438,12 @@ def test_rule_points_match_a_per_rule_loop():
         assert len(res.candidate_points) == len(points)
         for got, want in zip(res.candidate_points, points):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        q, margin, eps, lp_margin = _reference_margins(env, points)
+        assert (res.separating_q is None) == (q is None)
+        if q is not None:
+            assert res.separating_q.tobytes() == q.tobytes()
+            tilted += 1
+        assert (type(res.margin), res.margin.hex(), res.eps_tilt, res.lp_margin) == (
+            type(margin), margin.hex(), eps, lp_margin)
         checked += 1
-    assert checked >= 25
+    assert checked >= 45 and tilted >= 6
