@@ -288,7 +288,10 @@ def cmd_learn(args, man):
     if args.window is not None and not 1 <= args.window <= block:
         raise ConfigError(f"--window must lie in [1, {block}], got {args.window}")
     man.seed = cfg.seed
+    t0 = time.perf_counter()
     traj = run_learning(env, model_a, model_b, cfg)
+    man.stats.update(simulate_s=round(time.perf_counter() - t0, 3),
+                     agent_periods=cfg.n_agents * cfg.horizon)
     traj.write_text(man.path_for("trajectory.txt"), every=args.every)
     if traj.horizon == 0:
         return "comparison", [

@@ -285,7 +285,11 @@ def test_learn_reports_posterior_restarts(tmp_path, capsys):
     assert rc == 0
     # deterministic consequences: an agent that meets both opponent actions
     # of one group during burn-in rules out every conjecture about it
-    counts = _read_manifest(out)["stats"]["posterior_restarts"]
+    stats = _read_manifest(out)["stats"]
+    counts = stats["posterior_restarts"]
+    # the simulation's own wall time and size, so a slow run explains itself
+    assert stats["agent_periods"] == 16 * 40
+    assert isinstance(stats["simulate_s"], float) and stats["simulate_s"] >= 0.0
     assert counts["A"] > 0 and counts["B"] > 0
     assert (f"posterior restarts: A={counts['A']} B={counts['B']}"
             in capsys.readouterr().out)
