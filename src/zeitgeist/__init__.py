@@ -27,7 +27,6 @@ from .inference import (
     kl_divergence,
     kl_minimizers,
     scale_kl,
-    weighted_kl,
 )
 from .models import (
     IdentifiabilityReport,
@@ -87,7 +86,7 @@ __all__ = [
     "StageEnv", "DenseKernel", "MonitoringStructure",
     "best_response_indices", "symmetric_nash", "stackelberg",
     "DataContext", "MinimizerResult", "kl_divergence", "scale_kl",
-    "weighted_kl", "kl_minimizers",
+    "kl_minimizers",
     "Model", "Parameter", "IdentifiabilityReport", "check_identifiability",
     "minimal_correct_model", "singleton_model", "illusion_of_control_model",
     "Zeitgeist", "SituationOutcome", "SituationProblem",

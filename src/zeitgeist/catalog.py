@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import TOL, DenseKernel, StageEnv, best_reply_mask, slack
+from .inference import DataContext
 from .models import Model, _certainty_form_model, singleton_model
 from .solver import SituationOutcome, Zeitgeist, verify_ez
 from .stability import beats_both
@@ -115,6 +116,11 @@ class MassBank:
     def __len__(self) -> int:
         return 0 if self._memo is None else len(self._memo)
 
+    def row(self, mu: float, compute) -> np.ndarray:
+        """One row; a memo hit is served as stored."""
+        hit = None if self._memo is None else self._memo.get(mu)
+        return self.rows(mu, compute)[0] if hit is None else hit
+
     def rows(self, mus, compute) -> np.ndarray:
         """Rows for the means ``mus``; one ``compute`` call fills the misses."""
         memo = self._memo
@@ -161,21 +167,24 @@ class GaussianGridKernel:
 
         Each tail is accumulated from its own end so far bins keep tiny
         positive mass instead of rounding to zero; every divergence against
-        another kernel on the same axis then stays finite.
+        another kernel on the same axis then stays finite.  Each edge's nearer
+        tail is one ``ndtr(-|z|)``; the bin straddling the mean also needs
+        its left edge's upper tail.
         """
         from scipy.special import ndtr   # slow to import, needed only here
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
         z = (self.bank.edges[None, :] - mus[:, None]) / self.bank.sigma
-        lower = ndtr(z)
-        upper = ndtr(-z)
-        left = lower[:, 1:] - lower[:, :-1]
-        right = upper[:, :-1] - upper[:, 1:]
-        mass = np.where(z[:, 1:] <= 0.0, left, right)
+        tail = ndtr(-np.abs(z))
+        upper = z[:, 1:] > 0.0
+        start = tail[:, :-1].copy()
+        straddle = upper & (z[:, :-1] <= 0.0)
+        start[straddle] = ndtr(-z[:, :-1][straddle])
+        mass = np.where(upper, start - tail[:, 1:], tail[:, 1:] - start)
         np.maximum(mass, 0.0, out=mass)
         return mass / mass.sum(axis=1, keepdims=True)
 
     def row(self, i: int, j: int) -> np.ndarray:
-        return self.bank.rows(self.mean(i, j), self.masses)[0]
+        return self.bank.row(self.mean(i, j), self.masses)
 
     def rows_for_own(self, i: int) -> np.ndarray:
         mus = self.intercept - self.slope * (self.quantities[i] + self.quantities)
@@ -328,6 +337,19 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
             mixture_a=False, mixture_b=False)
         return Zeitgeist((p_a, p_b), (o,))
 
+    sums = np.unique(q[:, None] + q)
+
+    def verifier_means(z: Zeitgeist) -> np.ndarray:
+        """The mean of every row ``verify_ez`` reads for ``z``: both groups'
+        profiles under the truth and their parameters, and the payoff rows
+        of B's belief (the scan reads A's)."""
+        o = z.outcomes[0]
+        kb = model_b.params[o.minimizers_b[0]].kernel
+        mus = [k.mean(i, j) for g, m in enumerate((model_a, model_b))
+               for i, j, _, _ in DataContext(g, z.shares, 0, o.quadruple).profiles()
+               for k in (truth, *(p.kernel for p in m.params))]
+        return np.unique(np.concatenate([mus, kb.intercept - kb.slope * sums]))
+
     # rows fetched by the scan and its verification are memoized for this call
     with truth.bank:
         reply_a = best_reply_mask(model_a.params[idx_a].kernel.payoff_matrix(env.utility))
@@ -354,6 +376,7 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
                          for a_ab, a_ba, a_bb, idx_b in found for a_aa in feasible_aa),
                         key=lambda z: z.outcomes[0].quadruple)
         for z in states:
+            truth.bank.rows(verifier_means(z), truth.masses)   # verify_ez reads only hits
             ok, cert = verify_ez(z, env, model_a, model_b)
             if not ok:
                 raise RuntimeError(

@@ -86,33 +86,6 @@ class DataContext:
         return own, cross
 
 
-def _param_term(param, env, G: int, i: int, j: int, opp_group: int) -> float:
-    """One divergence term: data profile (i, j) explained by ``param``'s
-    conjecture about ``opp_group``."""
-    true_row = env.kernel(G).row(i, j)
-    conj = param.conj_a[opp_group]
-    if conj is None:
-        # strategic-certainty form: conjecture tracks actual play, monitoring term vanishes
-        return kl_divergence(true_row, param.kernel.row(i, j))
-    ky = kl_divergence(true_row, param.kernel.row(i, conj))
-    if np.isinf(ky):
-        return ky
-    km = kl_divergence(env.monitoring.row(j), env.monitoring.row(conj))
-    return ky + km
-
-
-def weighted_kl(param, ctx: DataContext, env) -> float:
-    """Share-weighted KL objective of one parameter given a data context."""
-    own, cross = ctx.profiles()
-    total = 0.0
-    for (i, j, og, w) in (own, cross):
-        term = scale_kl(w, _param_term(param, env, ctx.situation, i, j, og))
-        if np.isinf(term):
-            return float("inf")
-        total += term
-    return total
-
-
 def member_cut(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Relative argmin cut along axis 0: the membership mask of the values
     within ``slack(|min|)`` of each column's minimum, and the mask of
@@ -131,13 +104,38 @@ class MinimizerResult:
     all_infinite: bool
 
 
+def _kl_stack(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``kl_divergence(p, q)`` for every row q of ``qs``, bit for bit: one
+    1-D dot per row, over C-contiguous rows (a strided dot sums otherwise)."""
+    support = p > 0.0
+    ps = p[support]
+    q = np.ascontiguousarray(qs[:, support])
+    out = np.vecdot(np.log(ps / q), ps)
+    out[np.any(q <= 0.0, axis=1)] = np.inf
+    return out
+
+
 def kl_minimizers(model, ctx: DataContext, env) -> MinimizerResult:
-    """Indices of the model parameters minimizing the weighted KL objective.
+    """Indices of the model parameters minimizing the weighted KL objective,
+    from one stack of every parameter's predicted rows per data profile.
 
     When every parameter scores ``inf`` the whole index set is returned and
     flagged; this is legal data, not an error.
     """
-    values = np.array([weighted_kl(p, ctx, env) for p in model.params])
+    truth = env.kernel(ctx.situation)
+    mon = env.monitoring.rows
+    terms = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, j, og, w in ctx.profiles():
+            # a free conjecture predicts the actual action j, whose
+            # monitoring term mon[j] against itself is exactly 0.0
+            cols = [j if p.conj_a[og] is None else p.conj_a[og] for p in model.params]
+            qs = np.stack([p.kernel.row(i, c) for p, c in zip(model.params, cols)])
+            terms.append((w, _kl_stack(truth.row(i, j), qs) + _kl_stack(mon[j], mon[cols])))
+        (w0, d0), (w1, d1) = terms
+        # 0 * inf = inf: an infinite term rules a parameter out at any weight;
+        # the sum starts from +0.0, so a -0.0 from a zero weight reads 0.0
+        values = np.where(np.isinf(d0) | np.isinf(d1), np.inf, 0.0 + w0 * d0 + w1 * d1)
     members, all_inf = member_cut(values)
     return MinimizerResult(tuple(np.flatnonzero(members).tolist()), values,
                            bool(all_inf))

@@ -4,6 +4,7 @@ from scipy.optimize import minimize_scalar
 
 from zeitgeist import catalog
 from zeitgeist.games import StageEnv, stackelberg, symmetric_nash
+from zeitgeist.inference import DataContext, kl_minimizers
 from zeitgeist.models import check_identifiability
 from zeitgeist.solver import enumerate_ez, share_blend, verify_ez
 from zeitgeist.stability import affine_stable_shares
@@ -399,18 +400,66 @@ def test_mass_bank_serves_rows_bit_equal_to_direct_masses(cournot_51):
         assert got.tobytes() == want.tobytes()
 
 
+def _two_tail_masses(kernel, mus):
+    """Bin masses from both tails at every edge, each bin taken from the
+    tail its right edge lies in."""
+    from scipy.special import ndtr
+    z = (kernel.bank.edges[None, :] - mus[:, None]) / kernel.bank.sigma
+    lower, upper = ndtr(z), ndtr(-z)
+    mass = np.where(z[:, 1:] <= 0.0, lower[:, 1:] - lower[:, :-1],
+                    upper[:, :-1] - upper[:, 1:])
+    np.maximum(mass, 0.0, out=mass)
+    return mass / mass.sum(axis=1, keepdims=True)
+
+
+def test_masses_match_the_two_tail_formula(cournot_51):
+    spec, grid, env, model_a, model_b = cournot_51
+    truth = env.kernels[0]
+    edges = truth.bank.edges
+    width = edges[1] - edges[0]
+    rng = np.random.default_rng(17)
+    mus = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        edges - 1e-13, edges + 1e-13,
+        # straddle bins: the mean inside a bin, near either edge and mid-bin
+        (edges[:-1, None] + width * np.array([1e-9, 0.25, 0.5, 1.0 - 1e-9])).ravel(),
+        # far tails: every edge on one side of the mean
+        edges[0] - np.array([10.0, 24.0, 40.0]), edges[-1] + np.array([10.0, 24.0, 40.0]),
+        rng.uniform(edges[0] - 30.0, edges[-1] + 30.0, 400),
+        np.concatenate([truth.intercept - truth.slope * (grid[i] + grid) for i in range(51)]),
+    ])
+    got, want = truth.masses(mus), _two_tail_masses(truth, mus)
+    assert np.all(np.isfinite(got))
+    assert got.tobytes() == want.tobytes()
+
+
+def _objective_bits(z, env, model_a, model_b):
+    quad = z.outcomes[0].quadruple
+    return [kl_minimizers(m, DataContext(g, z.shares, 0, quad), env).values.tobytes()
+            for g, m in enumerate((model_a, model_b))]
+
+
 def _scan_recording_certificates(monkeypatch, env, model_a, model_b, shares):
     """Run the scan; record each certificate it computes together with the
-    number of rows its bank held at that moment."""
-    seen = []
+    number of rows its bank held at that moment, the ``masses`` calls the
+    verification made, and both groups' objective values read right after."""
+    seen, calls = [], []
+    masses = catalog.GaussianGridKernel.masses
+
+    def counted(self, mus):
+        calls.append(len(np.atleast_1d(mus)))
+        return masses(self, mus)
 
     def spy(z, *args):
+        before = len(calls)
         ok, cert = verify_ez(z, *args)
-        seen.append((z, cert, len(env.kernels[0].bank)))
+        seen.append((z, cert, len(env.kernels[0].bank), calls[before:],
+                     _objective_bits(z, *args)))
         return ok, cert
 
     with monkeypatch.context() as m:
         m.setattr(catalog, "verify_ez", spy)
+        m.setattr(catalog.GaussianGridKernel, "masses", counted)
         states = catalog.cournot_discrete_ez(env, model_a, model_b, shares)
     return states, seen
 
@@ -423,7 +472,9 @@ def test_mass_bank_memo_lasts_one_scan(cournot_51, monkeypatch, shares):
     states, seen = _scan_recording_certificates(monkeypatch, env, model_a, model_b,
                                                 shares)
     assert states and len(seen) == len(states)
-    assert all(rows > 0 for _, _, rows in seen)
+    assert all(rows > 0 for _, _, rows, _, _ in seen)
+    # the scan fetches every row the verifier reads before it calls it
+    assert [inside for _, _, _, inside, _ in seen] == [[]] * len(seen)
     assert len(bank) == 0
 
 
@@ -441,6 +492,7 @@ def test_verify_without_memo_matches_the_scans_certificates(cournot_51, monkeypa
 
     # a fresh build caches no payoff matrix, so every row is computed anew
     fresh = catalog.build_cournot_discrete(spec, grid, 200, 2.0)
-    for z, cert, _ in seen:
+    for z, cert, _, _, values in seen:
         ok, again = verify_ez(z, *fresh)
         assert ok and bits(again) == bits(cert)
+        assert _objective_bits(z, *fresh) == values

@@ -1,22 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import rel_entr
 
-from conftest import coordination_env, random_env, random_model
-from zeitgeist.games import DenseKernel
+from conftest import coordination_env, random_env, random_model, tie_env
+from zeitgeist import catalog
+from zeitgeist.games import DenseKernel, MonitoringStructure, StageEnv
 from zeitgeist.inference import (
     DataContext,
+    MinimizerResult,
     kl_divergence,
     kl_minimizers,
     kl_profile_tables,
     member_cut,
     scale_kl,
     validate_shares,
-    weighted_kl,
 )
-from zeitgeist.models import Parameter, minimal_correct_model, singleton_model
+from zeitgeist.models import Model, Parameter, minimal_correct_model, singleton_model
 from zeitgeist.solver import enumerate_ez
 
 
@@ -98,7 +100,7 @@ def test_weighted_kl_zero_for_truth():
     env = coordination_env()
     model = minimal_correct_model(env)
     ctx = DataContext(0, (0.5, 0.5), 0, (0, 0, 1, 1))
-    vals = [weighted_kl(p, ctx, env) for p in model.params]
+    vals = kl_minimizers(model, ctx, env).values
     assert min(vals) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -138,22 +140,100 @@ def test_kl_minimizers_all_infinite_flagged():
 
 
 def test_profile_tables_match_direct_evaluation():
+    # the solver's tables and the verifier's objective are separate code;
+    # every context's objective is the share blend of two table entries
     rng = np.random.default_rng(11)
     env = random_env(rng, n_strategies=3, n_consequences=4)
     model = random_model(rng, env, 4, "m")
     table = kl_profile_tables(model, env, 0)
     assert table.shape == (4, 3, 3, 2)
-    for t, param in enumerate(model.params):
-        for i in range(3):
-            for j in range(3):
-                for og in range(2):
-                    from zeitgeist.inference import _param_term
-                    want = _param_term(param, env, 0, i, j, og)
-                    got = table[t, i, j, og]
-                    if np.isinf(want):
-                        assert np.isinf(got)
-                    else:
-                        assert got == pytest.approx(want, abs=1e-12)
+    for quad in itertools.product(range(3), repeat=4):
+        for group in (0, 1):
+            ctx = DataContext(group, (0.3, 0.7), 0, quad)
+            (i, j, og, w), (k, l, oh, v) = ctx.profiles()
+            a, b = table[:, i, j, og], table[:, k, l, oh]
+            want = np.where(np.isinf(a) | np.isinf(b), np.inf, w * a + v * b)
+            got = kl_minimizers(model, ctx, env).values
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            assert got == pytest.approx(want, abs=1e-12)
+
+
+def _objective_by_parameter(model, ctx, env) -> np.ndarray:
+    """The weighted objective one parameter at a time from ``kl_divergence``:
+    each profile's term, the monitoring term for a pinned conjecture, 0 * inf
+    = inf, and a running sum from 0.0."""
+    truth = env.kernel(ctx.situation)
+    out = []
+    for param in model.params:
+        total = 0.0
+        for i, j, og, w in ctx.profiles():
+            conj = param.conj_a[og]
+            if conj is None:
+                term = kl_divergence(truth.row(i, j), param.kernel.row(i, j))
+            else:
+                term = kl_divergence(truth.row(i, j), param.kernel.row(i, conj))
+                if not np.isinf(term):
+                    term += kl_divergence(env.monitoring.row(j), env.monitoring.row(conj))
+            term = scale_kl(w, term)
+            if np.isinf(term):
+                total = math.inf
+                break
+            total += term
+        out.append(total)
+    return np.array(out)
+
+
+def _assert_objective_bits(model, ctx, env) -> MinimizerResult:
+    res = kl_minimizers(model, ctx, env)
+    want = _objective_by_parameter(model, ctx, env)
+    assert res.values.tobytes() == want.tobytes(), (ctx, res.values, want)
+    return res
+
+
+def _pinned_model(env, conj) -> Model:
+    """Every parameter pins both opponent groups to ``conj``."""
+    kernels = [DenseKernel(env.kernels[0].table.copy())]
+    params = [Parameter((conj, conj), kernels[0], 0, "pinned")]
+    return Model("pinned", params, strategic_certainty_form=False, kernels=kernels,
+                 kernel_labels=["truth"])
+
+
+@pytest.mark.parametrize("tau", [None, 0.6])
+def test_objective_bits_match_per_parameter_reference(tau):
+    rng = np.random.default_rng(31)
+    shares = [(1.0, 0.0), (0.3, 0.7), (0.0, 1.0)]
+    finite = infinite = all_inf = 0
+    for draw in range(4):
+        env = (random_env(rng, n_strategies=3, n_consequences=4) if draw % 2
+               else tie_env(rng, n_strategies=3, n_situations=2))
+        if tau is not None:
+            env = StageEnv(env.strategies, env.consequences, env.situations,
+                           env.kernels, env.utility,
+                           MonitoringStructure.noisy(env.strategies, tau))
+        for model in (random_model(rng, env, 5, "m"), _pinned_model(env, 2)):
+            for quad in itertools.product(range(3), repeat=4):
+                for group, sh, gi in itertools.product((0, 1), shares,
+                                                       range(len(env.situations))):
+                    res = _assert_objective_bits(model, DataContext(group, sh, gi, quad), env)
+                    finite += int(np.isfinite(res.values).sum())
+                    infinite += int(np.isinf(res.values).sum())
+                    all_inf += res.all_infinite
+    # sparse rows, and under perfect monitoring contradicted pinned
+    # conjectures, give infinite terms and all-infinite contexts
+    assert finite and infinite and all_inf
+
+
+@pytest.mark.parametrize("shares", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
+def test_duopoly_objective_bits_match_per_parameter_reference(shares):
+    # 101 parameters of 200-bin rows: a dot over strided rows would sum them
+    # in another order and change the last bit
+    spec = catalog.CournotSpec(10.0, 2.0, 1.0, 0.5)
+    env, model_a, model_b = catalog.build_cournot_discrete(
+        spec, np.linspace(0.0, 8.0, 51), 200, 2.0)
+    for quad in ((20, 25, 12, 20), (17, 25, 25, 20), (0, 50, 3, 44)):
+        for group, model in enumerate((model_a, model_b)):
+            res = _assert_objective_bits(model, DataContext(group, shares, 0, quad), env)
+            assert model.n_params == 101 and not res.all_infinite
 
 
 def test_singleton_model_truth_is_minimizer_at_any_share():
