@@ -26,7 +26,6 @@ from .inference import (
     MinimizerResult,
     kl_divergence,
     kl_minimizers,
-    scale_kl,
 )
 from .models import (
     IdentifiabilityReport,
@@ -85,8 +84,7 @@ __all__ = [
     "TOL", "DEFAULT_EPS_LIST",
     "StageEnv", "DenseKernel", "MonitoringStructure",
     "best_response_indices", "symmetric_nash", "stackelberg",
-    "DataContext", "MinimizerResult", "kl_divergence", "scale_kl",
-    "kl_minimizers",
+    "DataContext", "MinimizerResult", "kl_divergence", "kl_minimizers",
     "Model", "Parameter", "IdentifiabilityReport", "check_identifiability",
     "minimal_correct_model", "singleton_model", "illusion_of_control_model",
     "Zeitgeist", "SituationOutcome", "SituationProblem",

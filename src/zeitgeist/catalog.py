@@ -121,16 +121,21 @@ class MassBank:
         hit = None if self._memo is None else self._memo.get(mu)
         return self.rows(mu, compute)[0] if hit is None else hit
 
-    def rows(self, mus, compute) -> np.ndarray:
-        """Rows for the means ``mus``; one ``compute`` call fills the misses."""
-        memo = self._memo
-        if memo is None:
-            return compute(mus)
+    def fill(self, mus, compute) -> list[float]:
+        """Memoize the rows of ``mus`` missing from the memo in one ``compute``
+        call, stacking nothing; returns the memo keys.  A no-op outside."""
         keys = np.atleast_1d(np.asarray(mus, dtype=float)).tolist()
-        missing = [mu for mu in dict.fromkeys(keys) if mu not in memo]
-        if missing:
-            memo.update(zip(missing, compute(np.array(missing))))
-        return np.array([memo[mu] for mu in keys])
+        if self._memo is not None:
+            missing = [mu for mu in dict.fromkeys(keys) if mu not in self._memo]
+            if missing:
+                self._memo.update(zip(missing, compute(np.array(missing))))
+        return keys
+
+    def rows(self, mus, compute) -> np.ndarray:
+        """Rows for the means ``mus``, stacked; misses are filled first."""
+        if self._memo is None:
+            return compute(mus)
+        return np.array([self._memo[mu] for mu in self.fill(mus, compute)])
 
 
 class GaussianGridKernel:
@@ -376,7 +381,7 @@ def cournot_discrete_ez(env: StageEnv, model_a: Model, model_b: Model,
                          for a_ab, a_ba, a_bb, idx_b in found for a_aa in feasible_aa),
                         key=lambda z: z.outcomes[0].quadruple)
         for z in states:
-            truth.bank.rows(verifier_means(z), truth.masses)   # verify_ez reads only hits
+            truth.bank.fill(verifier_means(z), truth.masses)   # verify_ez reads only hits
             ok, cert = verify_ez(z, env, model_a, model_b)
             if not ok:
                 raise RuntimeError(

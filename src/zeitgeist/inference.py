@@ -37,13 +37,6 @@ def kl_divergence(p, q) -> float:
     return float(np.dot(ps, np.log(ps / q[support])))
 
 
-def scale_kl(weight: float, value: float) -> float:
-    """Share-weighted divergence with the 0 * inf = inf convention."""
-    if np.isinf(value):
-        return float("inf")
-    return weight * value
-
-
 def validate_shares(shares) -> tuple[float, float]:
     """The two group shares as floats; raises unless they are nonnegative
     and sum to one within ``TOL``."""

@@ -13,7 +13,8 @@ profile tables, subjective payoffs and the tensor of single-parameter
 rationalizers.  Its ``solve`` weights the tables by the shares, cuts every
 triple's minimizer set at once, takes the first single-parameter
 rationalizer as a degenerate belief, and runs the max-margin mixture LP
-only for triples with none that the other group could complete."""
+only for triples with none that the other group could complete and with
+no deviation that every minimizer prefers beyond the tie slack."""
 
 from __future__ import annotations
 
@@ -104,15 +105,9 @@ def _conjectured_columns(model, group: int, member_idx: np.ndarray,
 
     Free conjectures (None) fall back to the actual play passed as defaults.
     """
-    own_cols = np.empty(len(member_idx), dtype=int)
-    cross_cols = np.empty(len(member_idx), dtype=int)
-    for r, t in enumerate(member_idx):
-        conj = model.params[t].conj_a
-        c_own = conj[group]
-        c_cross = conj[1 - group]
-        own_cols[r] = default_own if c_own is None else c_own
-        cross_cols[r] = default_cross if c_cross is None else c_cross
-    return own_cols, cross_cols
+    conj = [model.params[t].conj_a for t in member_idx]
+    return tuple(np.array([default if c[og] is None else c[og] for c in conj], dtype=int)
+                 for og, default in ((group, default_own), (1 - group, default_cross)))
 
 
 def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
@@ -122,14 +117,22 @@ def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
 
     Row r holds one parameter's payoff of every own action against its
     conjectured opponent action.  Returns (weights, used_mixture).
-    """
+
+    The LP is skipped when all rows prefer one deviation j by more than
+    twice the tie tolerance of both stacks: every simplex ``w`` then has
+    ``(w @ d)_j <= max_r d_rj < -s`` (the minimax bound on the LP's value),
+    as ``|w @ v| <= max |v|`` bounds the final check's slack ``s``, so that
+    check would reject any LP answer.  The 2 covers rounding in both."""
     d_own = v_own[:, a_own][:, None] - v_own   # >= -slack required, all columns
     d_cross = v_cross[:, a_cross][:, None] - v_cross
+    d = np.hstack([d_own, d_cross])
+    if d.max(axis=0).min() < -2.0 * tie_tolerance(np.hstack([v_own, v_cross])):
+        return None
 
     # maximize the worst optimality margin so the solution sits as far from
     # the boundary as the parameter set allows; a boundary-hugging belief
     # would be vulnerable to LP tolerance noise downstream
-    found = max_margin(np.hstack([d_own, d_cross]))
+    found = max_margin(d)
     if found is None:
         return None
     w = np.where(found[0] <= TOL, 0.0, found[0])
@@ -249,7 +252,8 @@ class SituationProblem:
         B's on (a_AB, a_BA, a_BB), so each group's triples are certified
         once and the quadruples are the compatible pairs, in lexicographic
         order.  A triple without a single-parameter rationalizer reaches
-        the LP only when the other group has a triple that completes it.
+        the LP only when the other group has a triple that completes it and
+        its minimizers share no preferred deviation beyond the tie slack.
         """
         p_a, p_b = validate_shares(shares)
         cut_a = _GroupCut(self.groups[0], p_a, p_b)

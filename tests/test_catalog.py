@@ -400,6 +400,25 @@ def test_mass_bank_serves_rows_bit_equal_to_direct_masses(cournot_51):
         assert got.tobytes() == want.tobytes()
 
 
+def test_mass_bank_fill_computes_each_miss_once(cournot_51):
+    spec, grid, env, model_a, model_b = cournot_51
+    truth = env.kernels[0]
+    mus = truth.intercept - truth.slope * (grid[7] + grid)
+    calls = []
+
+    def counted(m):
+        calls.append(len(m))
+        return truth.masses(m)
+
+    assert truth.bank.fill(mus, counted) == mus.tolist() and calls == []   # no memo
+    with truth.bank:
+        truth.bank.fill(mus[::2], counted)
+        truth.bank.fill(mus, counted)
+        served = truth.bank.rows(mus, counted)
+    assert calls == [26, 25]
+    assert served.tobytes() == truth.masses(mus).tobytes()
+
+
 def _two_tail_masses(kernel, mus):
     """Bin masses from both tails at every edge, each bin taken from the
     tail its right edge lies in."""

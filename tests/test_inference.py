@@ -15,7 +15,6 @@ from zeitgeist.inference import (
     kl_minimizers,
     kl_profile_tables,
     member_cut,
-    scale_kl,
     validate_shares,
 )
 from zeitgeist.models import Model, Parameter, minimal_correct_model, singleton_model
@@ -62,13 +61,6 @@ def test_kl_support_mismatch():
     assert kl_divergence([0.5, 0.5, 0.0], [0.5, 0.0, 0.5]) == np.inf
     # q may have extra support without penalty
     assert np.isfinite(kl_divergence([1.0, 0.0], [0.5, 0.5]))
-
-
-def test_scale_kl_zero_weight_keeps_infinity():
-    assert scale_kl(0.0, np.inf) == np.inf
-    assert scale_kl(0.0, 123.4) == 0.0
-    assert scale_kl(0.25, np.inf) == np.inf
-    assert scale_kl(0.5, 2.0) == pytest.approx(1.0)
 
 
 def test_minimizer_set_relative_cut():
@@ -174,11 +166,10 @@ def _objective_by_parameter(model, ctx, env) -> np.ndarray:
                 term = kl_divergence(truth.row(i, j), param.kernel.row(i, conj))
                 if not np.isinf(term):
                     term += kl_divergence(env.monitoring.row(j), env.monitoring.row(conj))
-            term = scale_kl(w, term)
-            if np.isinf(term):
+            if np.isinf(term):   # 0 * inf = inf
                 total = math.inf
                 break
-            total += term
+            total += w * term
         out.append(total)
     return np.array(out)
 

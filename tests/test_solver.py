@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from conftest import coordination_env, mismatch_env, random_env, random_model
-from zeitgeist import catalog
-from zeitgeist.games import MonitoringStructure, StageEnv
+from zeitgeist import catalog, solver
+from zeitgeist.games import TOL, MonitoringStructure, StageEnv, tie_tolerance
 from zeitgeist.inference import DataContext, kl_minimizers, kl_profile_tables
 from zeitgeist.models import Model, minimal_correct_model, singleton_model
 from zeitgeist.solver import (
@@ -357,3 +357,78 @@ def test_enumeration_sandwich_covers_noise_extremes_and_infinite_profiles(
         if quad not in found:
             assert not all(_strict_mixture_margin(env, model, g, quad, shares) > 1e-9
                            for g, model in enumerate((model_a, model_b))), quad
+
+
+def test_unanimous_deviation_beyond_the_slack_skips_the_lp(monkeypatch):
+    # both parameters prefer own action 1 to the played 0, by 1 and by 2
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the belief LP was called")
+
+    monkeypatch.setattr(solver, "linprog", forbidden)
+    v_own = np.array([[0.0, 1.0, -0.5], [0.0, 2.0, 1.0]])
+    v_cross = np.array([[1.0, 0.0], [0.5, 0.0]])
+    assert solver._mixture_belief(v_own, v_cross, 0, 0) is None
+
+
+def test_unanimous_deviation_within_the_slack_reaches_the_lp(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "linprog",
+                        lambda *a, **k: calls.append(1) or linprog(*a, **k))
+    v_own = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -0.5]])
+    v_cross = np.array([[1.0, 0.0], [0.5, 0.0]])
+    v_own[:, 1] = 0.5 * tie_tolerance(np.hstack([v_own, v_cross]))
+    found = solver._mixture_belief(v_own, v_cross, 0, 0)
+    assert calls == [1]
+    assert found is not None and found[0].sum() == pytest.approx(1.0)
+
+
+def _mixture_belief_without_screen(v_own, v_cross, a_own, a_cross):
+    """``solver._mixture_belief`` with every call solving the LP."""
+    d_own = v_own[:, a_own][:, None] - v_own
+    d_cross = v_cross[:, a_cross][:, None] - v_cross
+    found = solver.max_margin(np.hstack([d_own, d_cross]))
+    if found is None:
+        return None
+    w = np.where(found[0] <= TOL, 0.0, found[0])
+    total = w.sum()
+    if total <= 0.0:
+        return None
+    w /= total
+    s = tie_tolerance(np.concatenate([w @ v_own, w @ v_cross]))
+    if float((w @ d_own).min()) < -s or float((w @ d_cross).min()) < -s:
+        return None
+    return w, int(np.count_nonzero(w)) > 1
+
+
+def test_belief_screen_agrees_with_the_lp_on_seeded_problems(monkeypatch):
+    # every belief-LP input of seeded problems: pinned and free conjectures
+    # under perfect monitoring, and the product-expanded correct model under
+    # noisy monitoring, whose own-data term vanishes at the extreme shares
+    problems = [_problem(seed, 4, 6, False, fixed) for seed in range(2)
+                for fixed in (False, True)]
+    for seed in range(3):
+        env, _, _ = _problem(seed, 3, 1, True, False)
+        model = minimal_correct_model(env).expand_product(env)
+        problems.append((env, model, model))
+    harvest, real = [], solver._mixture_belief
+    monkeypatch.setattr(solver, "_mixture_belief",
+                        lambda *args: harvest.append(args) or real(*args))
+    for env, model_a, model_b in problems:
+        problem = SituationProblem(env, model_a, model_b, "G0")
+        for p in (0.0, 0.3, 1.0):
+            problem.solve((p, 1.0 - p))
+
+    lp_calls = []
+    monkeypatch.setattr(solver, "linprog",
+                        lambda *a, **k: lp_calls.append(1) or linprog(*a, **k))
+    screened = accepted = 0
+    for args in harvest:
+        before = len(lp_calls)
+        got = real(*args)
+        screened += len(lp_calls) == before
+        want = _mixture_belief_without_screen(*args)
+        assert (got is None) == (want is None), args
+        if got is not None:
+            accepted += 1
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1], args
+    assert screened > 0 and accepted > 0, (len(harvest), screened, accepted)

@@ -250,8 +250,8 @@ def test_cells_hold_one_state_list():
     # at every grid share more than slack from every cell end, the states
     # equal those at the cell's midpoint, beliefs byte for byte.  Random
     # perfect-monitoring models with fixed conjectures give infinite terms.
-    # Draws that reach the LP often cost up to a second each, so the seed
-    # and count keep this test near one second.
+    # The draw that reaches the belief LP most makes 13 LP calls and takes
+    # about 0.05 s; the whole test takes about 0.3 s on a 2-vCPU x86_64 box.
     rng = np.random.default_rng(1)
     cases = [(*case, np.linspace(0.0, 1.0, 101)) for case in _scan_pairs()]
     for _ in range(20):
