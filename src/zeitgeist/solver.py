@@ -45,15 +45,17 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def max_margin(d: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Simplex weights ``w`` over the rows of ``d`` maximizing the worst
-    entry of ``w @ d``, and that entry; None if the LP fails."""
+def max_margin(d: np.ndarray) -> tuple[np.ndarray, float]:
+    """Simplex weights ``w`` over the rows of ``d`` maximizing the worst entry of
+    ``w @ d``, and that entry.  The program is always feasible and bounded: failure raises."""
     m, k = d.shape
     # vars (w_1..w_m, t): max t  s.t.  t - w.d_j <= 0 for every column j
     res = linprog(np.append(np.zeros(m), -1.0), A_ub=np.hstack([-d.T, np.ones((k, 1))]),
                   b_ub=np.zeros(k), A_eq=np.append(np.ones(m), 0.0)[None, :], b_eq=[1.0],
                   bounds=[(0.0, 1.0)] * m + [(None, None)], method="highs")
-    return (res.x[:m], float(res.x[m])) if res.success else None
+    if not res.success:
+        raise RuntimeError(f"max-margin LP failed numerically: {res.message}")
+    return res.x[:m], float(res.x[m])
 
 
 def _require_compatible(env: StageEnv, model, who: str) -> None:
@@ -89,10 +91,6 @@ class Zeitgeist:
 
     shares: tuple[float, float]
     outcomes: tuple[SituationOutcome, ...]
-
-    @property
-    def play(self) -> np.ndarray:
-        return np.array([o.quadruple for o in self.outcomes], dtype=int)
 
     @property
     def mixture_supported(self) -> bool:
@@ -133,8 +131,6 @@ def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
     # the boundary as the parameter set allows; a boundary-hugging belief
     # would be vulnerable to LP tolerance noise downstream
     found = max_margin(d)
-    if found is None:
-        return None
     w = np.where(found[0] <= TOL, 0.0, found[0])
     total = w.sum()
     if total <= 0.0:
@@ -164,9 +160,9 @@ class _GroupTables:
         diag = table[:, np.arange(n), np.arange(n), group]      # [t, x]
         cross = table[:, :, :, 1 - group]                        # [t, y, z]
         # infinite terms are kept apart, so a zero share never meets 0 * inf
-        self.inf_own, self.inf_cross = np.isinf(diag), np.isinf(cross)
-        self.diag = np.where(self.inf_own, 0.0, diag)
-        self.cross = np.where(self.inf_cross, 0.0, cross)
+        self.inf = np.isinf(diag)[:, :, None, None] | np.isinf(cross)[:, None]
+        self.diag = np.where(np.isinf(diag), 0.0, diag)
+        self.cross = np.where(np.isinf(cross), 0.0, cross)
 
         # payoff of every own action against each parameter's conjectured
         # opponent action, [t, x, a] and [t, z, a]
@@ -187,9 +183,23 @@ class _GroupTables:
 
     def objective(self, w_own: float, w_cross: float) -> np.ndarray:
         """Weighted explanatory objective of every parameter and triple."""
-        t_own = np.where(self.inf_own, np.inf, w_own * self.diag)
-        t_cross = np.where(self.inf_cross, np.inf, w_cross * self.cross)
-        return t_own[:, :, None, None] + t_cross[:, None, :, :]
+        obj = (w_own * self.diag)[:, :, None, None] + (w_cross * self.cross)[:, None]
+        obj[self.inf] = np.inf
+        return obj
+
+    def crossings(self) -> np.ndarray:
+        """Own shares w in (0, 1) where two finite objective lines, cross + w
+        (diag - cross) on [x, y, z], cross on their lower envelope, for any
+        triple; a line with an infinite term is never on the envelope."""
+        icpt = self.cross[:, None]                                 # [t, 1, y, z]
+        slope = self.diag[:, :, None, None] - icpt                 # [t, x, y, z]
+        with np.errstate(divide="ignore", invalid="ignore"):       # w: [t, s, x, y, z]
+            w = (icpt[None] - icpt[:, None]) / (slope[:, None] - slope[None])
+        w = np.where((w > 0.0) & (w < 1.0) & ~self.inf[:, None] & ~self.inf[None], w, np.nan)
+        best = np.full(w.shape, np.inf)
+        for r in range(self.n_params):
+            best = np.minimum(best, np.where(self.inf[r], np.inf, icpt[r] + w * slope[r]))
+        return w[icpt[:, None] + w * slope[:, None] <= best + slack(np.abs(best))]
 
 
 class _GroupCut:
@@ -234,7 +244,7 @@ class SituationProblem:
 
     Holds the share-independent tables of both groups (KL profile tables,
     subjective payoff stacks and the single-parameter rationalizer tensor
-    ``ok``).
+    ``ok``) and finds the shares where its state list can change.
     """
 
     def __init__(self, env: StageEnv, model_a, model_b, G):
@@ -244,6 +254,11 @@ class SituationProblem:
         self.situation = env.situations[gi]
         self.groups = (_GroupTables(env, model_a, 0, gi),
                        _GroupTables(env, model_b, 1, gi))
+
+    def share_cuts(self) -> np.ndarray:
+        """Group A's shares at both groups' ``crossings``; B's own share is 1 - p_A."""
+        cut_a, cut_b = (tables.crossings() for tables in self.groups)
+        return np.concatenate([cut_a, 1.0 - cut_b])
 
     def solve(self, shares: tuple[float, float]) -> list[SituationOutcome]:
         """All self-confirming pure-play outcomes at the given shares.
@@ -315,15 +330,22 @@ def solve_states(problems: list[SituationProblem],
 
 
 def match_payoffs(env: StageEnv, G, quadruple) -> np.ndarray:
-    """m[g, h]: objective payoff of group g against group h in situation G
-    under the play quadruple (a_AA, a_AB, a_BA, a_BB)."""
-    play = np.reshape(quadruple, (2, 2))          # play[g, h]: g's action against h
-    return env.payoff_matrix(G)[play, play.T]
+    """m[..., g, h]: objective payoff of group g against group h in situation G
+    under each play quadruple (a_AA, a_AB, a_BA, a_BB) on the last axis."""
+    play = np.reshape(quadruple, (*np.shape(quadruple)[:-1], 2, 2))   # [..., g, h]
+    return env.payoff_matrix(G)[play, np.swapaxes(play, -1, -2)]
 
 
 def share_blend(m: np.ndarray, shares: tuple[float, float]) -> np.ndarray:
-    """(fitness A, fitness B) of match payoffs ``m`` under random matching."""
-    return m[:, 0] * shares[0] + m[:, 1] * shares[1]
+    """(fitness A, fitness B) of match payoffs ``m[..., g, h]`` under random matching."""
+    return m[..., 0] * shares[0] + m[..., 1] * shares[1]
+
+
+def situation_payoffs(env: StageEnv, outcomes, weights) -> np.ndarray:
+    """Match payoffs of one outcome per situation, summed as w_g m_g from zeros
+    in situation order."""
+    return sum((weights[gi] * match_payoffs(env, gi, o.quadruple)
+                for gi, o in enumerate(outcomes)), np.zeros((2, 2)))
 
 
 def fitness(z: Zeitgeist, env: StageEnv, q=None) -> np.ndarray:

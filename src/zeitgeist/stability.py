@@ -21,8 +21,8 @@ import numpy as np
 
 from .games import (TOL, StageEnv, as_weights, best_reply_mask, slack,
                     symmetric_nash)
-from .solver import (SituationProblem, Zeitgeist, fitness, match_payoffs,
-                     max_margin, share_blend, solve_states)
+from .solver import (SituationProblem, Zeitgeist, match_payoffs, max_margin,
+                     share_blend, situation_payoffs, solve_states)
 
 DEFAULT_EPS_LIST = (0.1, 0.05, 0.01, 0.005, 0.001)
 
@@ -45,10 +45,6 @@ class StabilityVerdict:
     q: np.ndarray
 
     @property
-    def is_stable(self) -> bool:
-        return self.label == "Stable"
-
-    @property
     def is_fragile(self) -> bool:
         return self.label == "Fragile"
 
@@ -60,7 +56,7 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
     States decouple across situations, so the extreme total gaps are the
     weighted sums of per-situation extreme gaps; the full product of states
     is never materialized.  Each situation's problem is built once and
-    solved at every invasion size.
+    solved at every invasion size, and its outcomes are scored in one gather.
     """
     if not len(eps_list):
         raise ValueError("need at least one invasion size")
@@ -75,18 +71,16 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
         shares = (1.0 - eps, eps)
         counts = []
         lo = hi = 0.0
-        empty = False
         for gi, problem in enumerate(problems):
             outcomes = problem.solve(shares)
             counts.append(len(outcomes))
             if not outcomes:
-                empty = True
                 continue
-            fits = [share_blend(match_payoffs(env, gi, o.quadruple), shares)
-                    for o in outcomes]
-            gaps = [float(f[0] - f[1]) for f in fits]
-            lo += weights[gi] * min(gaps)
-            hi += weights[gi] * max(gaps)
+            fits = share_blend(match_payoffs(env, gi, [o.quadruple for o in outcomes]), shares)
+            gaps = fits[:, 0] - fits[:, 1]
+            lo += weights[gi] * gaps.min()
+            hi += weights[gi] * gaps.max()
+        empty = 0 in counts
         if empty:
             lo = hi = np.nan
         total = int(np.prod(counts)) if counts else 0
@@ -125,19 +119,18 @@ def detect_reversal(env: StageEnv, model_a, model_b) -> ReversalResult:
 
     With group A as the whole population, A must beat B conditional on both
     opponent groups in every state; with group B as the whole population, B
-    must have the higher total fitness in every state.  Defined for a single
-    situation only.
+    must have the higher total fitness in every state.  Situations are
+    weighted equally, as in ``fitness``.
     """
-    if env.n_situations != 1:
-        raise ValueError("reversal detection is defined for a single situation")
-    problems = [SituationProblem(env, model_a, model_b, env.situations[0])]
+    weights = as_weights(None, env.n_situations)
+    problems = [SituationProblem(env, model_a, model_b, G) for G in env.situations]
     states_a = tuple(solve_states(problems, (1.0, 0.0)))
     states_b = tuple(solve_states(problems, (0.0, 1.0)))
 
-    cond_a = bool(states_a) and all(
-        beats_both(match_payoffs(env, 0, z.outcomes[0].quadruple)) for z in states_a)
-    cond_b = bool(states_b) and all(
-        f[1] > f[0] + TOL for f in (fitness(z, env) for z in states_b))
+    m_a = [situation_payoffs(env, z.outcomes, weights) for z in states_a]
+    f_b = [share_blend(situation_payoffs(env, z.outcomes, weights), z.shares) for z in states_b]
+    cond_a = bool(m_a) and all(beats_both(m) for m in m_a)
+    cond_b = bool(f_b) and all(f[1] > f[0] + TOL for f in f_b)
 
     mixture = any(z.mixture_supported for z in states_a + states_b)
     return ReversalResult(cond_a and cond_b, cond_a, cond_b,
@@ -211,29 +204,11 @@ def affine_stable_shares(m: np.ndarray | None) -> StableSharesResult:
 
 def share_cell_ends(problems: list[SituationProblem]) -> tuple[float, ...]:
     """Cell ends of prebuilt situation problems: 0 and 1 twice each, and
-    every share in (0, 1) where two finite objective lines of a group cross
-    on their lower envelope, for any triple; a cut within ``TOL`` above
-    the last end kept is merged into it.
-
-    Parameter t's line at own share w is cross + w (diag - cross) on the
-    triple axes [x, y, z], and group B's own share is 1 - p_A.  A line with
-    an infinite term is never a candidate for the envelope."""
-    cuts = []
-    for problem in problems:
-        for g, tables in enumerate(problem.groups):
-            icpt = tables.cross[:, None]                           # [t, 1, y, z]
-            slope = tables.diag[:, :, None, None] - icpt           # [t, x, y, z]
-            inf = tables.inf_own[:, :, None, None] | tables.inf_cross[:, None]
-            with np.errstate(divide="ignore", invalid="ignore"):   # w: [t, s, x, y, z]
-                w = (icpt[None] - icpt[:, None]) / (slope[:, None] - slope[None])
-            w = np.where((w > 0.0) & (w < 1.0) & ~inf[:, None] & ~inf[None], w, np.nan)
-            best = np.full(w.shape, np.inf)
-            for r in range(tables.n_params):
-                best = np.minimum(best, np.where(inf[r], np.inf, icpt[r] + w * slope[r]))
-            w = w[icpt[:, None] + w * slope[:, None] <= best + slack(np.abs(best))]
-            cuts += list(1.0 - w if g else w)
+    every ``share_cuts`` share in (0, 1); a cut within ``TOL`` above the
+    last end kept is merged into it."""
+    cuts = np.concatenate([problem.share_cuts() for problem in problems])
     ends = [0.0, 0.0]
-    for w in np.unique([w for w in cuts if TOL < w < 1.0 - TOL]):
+    for w in np.unique(cuts[(cuts > TOL) & (cuts < 1.0 - TOL)]):
         if w - ends[-1] > TOL:                  # against the last end kept
             ends.append(float(w))
     return (*ends, 1.0, 1.0)
@@ -255,13 +230,8 @@ def stable_shares(env: StageEnv, model_a, model_b, q=None) -> StableSharesResult
     lines = []
     for p in np.add(ends[:-1], ends[1:]) / 2.0:
         outcomes = [problem.solve((p, 1.0 - p)) for problem in problems]
-        if not all(outcomes):
-            lines.append(None)
-            continue
-        m = np.zeros((2, 2))
-        for gi, found in enumerate(outcomes):
-            m += weights[gi] * match_payoffs(env, gi, found[0].quadruple)
-        lines.append(_gap_line(m))
+        lines.append(_gap_line(situation_payoffs(env, [o[0] for o in outcomes], weights))
+                     if all(outcomes) else None)
     return _scan_cells(ends, lines)
 
 
@@ -320,8 +290,6 @@ def singleton_fragility_check(env: StageEnv) -> SeparationResult:
     finite = table[np.isfinite(table).all(axis=1)]
     found = (max_margin((nash_vals - finite).T) if len(finite)
              else (np.full(m, 1.0 / m), np.inf))
-    if found is None:
-        raise RuntimeError("margin program failed")
     q_star, lp_margin = found
 
     def strict_margin_at(qv: np.ndarray) -> float:

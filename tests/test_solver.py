@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,6 +128,22 @@ def test_match_payoffs_read_the_quadruple():
     quad = (0, 2, 1, 2)                 # a_AA, a_AB, a_BA, a_BB
     m = match_payoffs(env, "G1", quad)
     assert m.tolist() == [[pi[0, 0], pi[2, 1]], [pi[1, 2], pi[2, 2]]]
+
+
+def test_stacked_match_payoffs_equal_each_quadruple():
+    # one gather over a [3, 5] stack of quadruples keeps every single
+    # quadruple's bits, and so does the blend along the last axis
+    rng = np.random.default_rng(9)
+    env = random_env(rng, n_strategies=4, n_consequences=3, n_situations=2)
+    quads = rng.integers(0, 4, size=(3, 5, 4))
+    for G in env.situations:
+        stacked = match_payoffs(env, G, quads)
+        blended = share_blend(stacked, (0.3, 0.7))
+        assert stacked.shape == (3, 5, 2, 2) and blended.shape == (3, 5, 2)
+        for idx in np.ndindex(3, 5):
+            single = match_payoffs(env, G, tuple(int(a) for a in quads[idx]))
+            assert stacked[idx].tobytes() == single.tobytes()
+            assert blended[idx].tobytes() == share_blend(single, (0.3, 0.7)).tobytes()
 
 
 def test_package_exports_resolve():
@@ -380,6 +397,17 @@ def test_unanimous_deviation_within_the_slack_reaches_the_lp(monkeypatch):
     found = solver._mixture_belief(v_own, v_cross, 0, 0)
     assert calls == [1]
     assert found is not None and found[0].sum() == pytest.approx(1.0)
+
+
+def test_a_failed_belief_lp_raises(monkeypatch):
+    # the max-margin program is always feasible and bounded, so a failure
+    # is numerical and must not read as "no belief"
+    failed = SimpleNamespace(success=False, status=4, message="numerical difficulties", x=None)
+    monkeypatch.setattr(solver, "linprog", lambda *a, **k: failed)
+    v_own = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -0.5]])
+    v_cross = np.array([[1.0, 0.0], [0.5, 0.0]])
+    with pytest.raises(RuntimeError, match="numerical difficulties"):
+        solver._mixture_belief(v_own, v_cross, 0, 0)
 
 
 def _mixture_belief_without_screen(v_own, v_cross, a_own, a_cross):

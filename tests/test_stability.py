@@ -1,5 +1,4 @@
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from conftest import (coordination_env, decision_env, mismatch_env, random_env,
                       random_model)
 from zeitgeist import catalog, solver, stability
 from zeitgeist.games import TOL, StageEnv, best_response_indices, symmetric_nash
+from zeitgeist.inference import kl_profile_tables
 from zeitgeist.models import illusion_of_control_model, minimal_correct_model
 from zeitgeist.solver import SituationProblem
 from zeitgeist.stability import (
@@ -117,11 +117,58 @@ def test_reversal_flags_are_python_bools():
             assert type(flag) is bool
 
 
-def test_detect_reversal_needs_one_situation():
+def _outcome_bytes(o):
+    return o.quadruple, o.belief_a.tobytes(), o.belief_b.tobytes()
+
+
+def test_reversal_with_a_duplicated_situation_matches_the_original():
+    # two equally weighted copies of the investment game's one situation
+    # give its flags, and its states in each copy
+    spec = catalog.InvestmentSpec(1.0, 5.5, 12.0)
+    env, model_a, model_b, _ = catalog.build_investment_game(spec)
+    twice = StageEnv(env.strategies, env.consequences, ("G", "G copy"), env.kernels * 2,
+                     env.utility, env.monitoring)
+    one, two = detect_reversal(env, model_a, model_b), detect_reversal(twice, model_a, model_b)
+    assert two.reversal
+    for field in ("reversal", "condition_majority_a", "condition_majority_b",
+                  "mixture_supported_present"):
+        assert getattr(two, field) == getattr(one, field), field
+    for got, want in ((two.states_resident_a, one.states_resident_a),
+                      (two.states_resident_b, one.states_resident_b)):
+        assert [[_outcome_bytes(o) for o in z.outcomes] for z in got] == [
+            [_outcome_bytes(a.outcomes[0]), _outcome_bytes(b.outcomes[0])]
+            for a in want for b in want]
+
+
+def test_reversal_over_two_situations_matches_a_reference():
+    # reference: each situation's outcome list composed in order, and both
+    # conditions read from the equally weighted sum of match payoffs; at
+    # p_B = 1, B's total fitness is its payoff against B.  The illusion
+    # entrants have no state at p_B = 1, the correct ones have 8.
     env = catalog.build_two_situation_game()
-    model = minimal_correct_model(env)
-    with pytest.raises(ValueError):
-        detect_reversal(env, model, model)
+    correct = minimal_correct_model(env)
+    compared = 0
+    for model_b in (illusion_of_control_model(env), correct):
+        res = detect_reversal(env, correct, model_b)
+        want = {}
+        for shares in ((1.0, 0.0), (0.0, 1.0)):
+            per = [solver.enumerate_situation_ez(env, correct, model_b, G, shares)
+                   for G in env.situations]
+            want[shares] = [(combo, sum(0.5 * solver.match_payoffs(env, gi, o.quadruple)
+                                        for gi, o in enumerate(combo)))
+                            for combo in itertools.product(*per)]
+        cond_a = bool(want[1.0, 0.0]) and all(np.all(m[0] > m[1] + TOL)
+                                               for _, m in want[1.0, 0.0])
+        cond_b = bool(want[0.0, 1.0]) and all(m[1, 1] > m[0, 1] + TOL
+                                               for _, m in want[0.0, 1.0])
+        assert (res.condition_majority_a, res.condition_majority_b) == (cond_a, cond_b)
+        assert res.reversal == (cond_a and cond_b)
+        for got, shares in ((res.states_resident_a, (1.0, 0.0)),
+                            (res.states_resident_b, (0.0, 1.0))):
+            assert [[_outcome_bytes(o) for o in z.outcomes] for z in got] == [
+                [_outcome_bytes(o) for o in combo] for combo, _ in want[shares]]
+            compared += len(got)
+    assert compared == 2 + 8 + 8
 
 
 def test_no_reversal_between_identical_models():
@@ -265,7 +312,8 @@ def test_cells_hold_one_state_list():
         problems = [SituationProblem(env, ma, mb, G) for G in env.situations]
         ends = np.array(stability.share_cell_ends(problems))
         multi_cell += len(ends) > 4
-        infinite += any(t.inf_cross.any() for pr in problems for t in pr.groups)
+        infinite += any(np.isinf(kl_profile_tables(m, env, G)[..., 1 - g]).any()
+                        for G in env.situations for g, m in enumerate((ma, mb)))
         at_mid = {}
         for p in grid:
             if np.min(np.abs(ends - p)) <= TOL:
@@ -281,11 +329,12 @@ def test_cells_hold_one_state_list():
 def _line_tables(intercepts, slopes):
     """One group's tables with one line per parameter on a single triple:
     parameter t's objective at own share w is intercepts[t] + w slopes[t]."""
-    cross = np.asarray(intercepts, dtype=float)[:, None, None]          # [t, y, z]
-    diag = cross[:, :, 0] + np.asarray(slopes, dtype=float)[:, None]    # [t, x]
-    return SimpleNamespace(n_params=len(cross), cross=cross, diag=diag,
-                           inf_own=np.zeros(diag.shape, bool),
-                           inf_cross=np.zeros(cross.shape, bool))
+    tables = object.__new__(solver._GroupTables)
+    tables.cross = np.asarray(intercepts, dtype=float)[:, None, None]          # [t, y, z]
+    tables.diag = tables.cross[:, :, 0] + np.asarray(slopes, dtype=float)[:, None]    # [t, x]
+    tables.n_params = len(tables.cross)
+    tables.inf = np.zeros((tables.n_params, 1, 1, 1), bool)                     # [t, x, y, z]
+    return tables
 
 
 def test_cell_ends_merge_against_the_last_kept_end():
@@ -299,8 +348,8 @@ def test_cell_ends_merge_against_the_last_kept_end():
     intercepts = [0.0]
     for t, w in enumerate(turns):                # line t + 1 meets line t at w
         intercepts.append(intercepts[t] + w * (slopes[t] - slopes[t + 1]))
-    problem = SimpleNamespace(groups=[_line_tables(intercepts, slopes),
-                                      _line_tables([1.0], [0.0])])
+    problem = object.__new__(SituationProblem)     # its cuts come from the solver
+    problem.groups = (_line_tables(intercepts, slopes), _line_tables([1.0], [0.0]))
     ends = stability.share_cell_ends([problem])
     assert len(ends) == 6
     assert ends[2:4] == pytest.approx((c, c + 2 * d), abs=1e-14)
