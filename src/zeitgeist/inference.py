@@ -168,12 +168,10 @@ def kl_profile_tables(model, env, G) -> np.ndarray:
                      for p in model.params])                            # [t, i, j, y]
     mon = env.monitoring.rows
     kl_mon = _kl_rows(mon[:, None, :], mon[None, :, :])                 # [j, c]
-    out = np.empty((len(model.params), n, n, 2))
-    for og in (0, 1):
-        # a free conjecture predicts the actual action, whose monitoring
-        # term kl_mon[j, j] is exactly zero
-        cols = conjecture_columns(model, og, n)                         # [t, j]
-        predicted = np.take_along_axis(rows, cols[:, None, :, None], axis=2)
-        out[..., og] = (_kl_rows(true_rows[None], predicted)
-                        + kl_mon[np.arange(n), cols][:, None, :])
-    return out
+    # a free conjecture predicts the actual action, whose monitoring term
+    # kl_mon[j, j] is exactly zero
+    cols = np.stack([conjecture_columns(model, og, n) for og in (0, 1)], axis=-1)   # [t, j, og]
+    predicted = rows[np.arange(len(model.params))[:, None, None, None],
+                     np.arange(n)[:, None, None], cols[:, None]]        # [t, i, j, og, y]
+    return (_kl_rows(true_rows[None, :, :, None], predicted)
+            + kl_mon[np.arange(n)[:, None], cols][:, None])

@@ -10,11 +10,11 @@ four actions are subjectively optimal under those beliefs.
 
 ``SituationProblem`` builds once what does not depend on the shares: KL
 profile tables, subjective payoffs and the tensor of single-parameter
-rationalizers.  Its ``solve`` weights the tables by the shares, cuts every
-triple's minimizer set at once, takes the first single-parameter
-rationalizer as a degenerate belief, and runs the max-margin mixture LP
-only for triples with none that the other group could complete and with
-no deviation that every minimizer prefers beyond the tie slack."""
+rationalizers.  Its ``solve_many`` weights the tables along a leading axis
+of shares, cuts every minimizer set at once, takes the first single-
+parameter rationalizer as a degenerate belief, and runs the max-margin
+mixture LP only for triples with none that the other group could complete
+and with no deviation that every minimizer prefers beyond the tie slack."""
 
 from __future__ import annotations
 
@@ -32,6 +32,9 @@ QUAD_KEYS = ("a_AA", "a_AB", "a_BA", "a_BB")
 # composing per-situation results across situations multiplies counts;
 # beyond this the caller should work situation by situation
 MAX_COMPOSED = 200_000
+
+# a chunk of shares keeps each objective tensor [t, k, x, y, z] within this size
+CHUNK_ELEMENTS = 2 ** 18
 
 
 def linprog(*args, **kwargs):
@@ -181,10 +184,11 @@ class _GroupTables:
         self.ok = ((gap_own[:, :, None, None] >= -tie[:, :, None, :])
                    & (gap_cross.transpose(0, 2, 1)[:, None] >= -tie[:, :, None, :]))
 
-    def objective(self, w_own: float, w_cross: float) -> np.ndarray:
-        """Weighted explanatory objective of every parameter and triple."""
-        obj = (w_own * self.diag)[:, :, None, None] + (w_cross * self.cross)[:, None]
-        obj[self.inf] = np.inf
+    def objective(self, w_own: np.ndarray, w_cross: np.ndarray) -> np.ndarray:
+        """Weighted objective [t, k, x, y, z] of every parameter and triple."""
+        obj = ((w_own[:, None] * self.diag[:, None])[:, :, :, None, None]
+               + (w_cross[:, None, None] * self.cross[:, None])[:, :, None])
+        np.copyto(obj, np.inf, where=self.inf[:, None])
         return obj
 
     def crossings(self) -> np.ndarray:
@@ -203,40 +207,40 @@ class _GroupTables:
 
 
 class _GroupCut:
-    """One group's minimizer sets and certified beliefs at given shares."""
+    """One group's minimizer sets and certified beliefs on [k, x, y, z]: K shares."""
 
-    def __init__(self, tables: _GroupTables, w_own: float, w_cross: float):
+    def __init__(self, tables: _GroupTables, w_own: np.ndarray, w_cross: np.ndarray):
         self.tables = tables
         self.members, self.all_inf = member_cut(tables.objective(w_own, w_cross))
-        single = self.members & tables.ok
+        single = self.members & tables.ok[:, None]
         self.has_single = single.any(axis=0)
         self.first = single.argmax(axis=0)        # first rationalizer, index order
         self.needs_lp = ~self.has_single & (self.members.sum(axis=0) >= 2)
         self.feasible = self.has_single.copy()
-        self.mixtures: dict[tuple[int, int, int], tuple[np.ndarray, bool]] = {}
+        self.mixtures: dict[tuple[int, int, int, int], tuple[np.ndarray, bool]] = {}
 
     def run_lp(self, wanted: np.ndarray) -> np.ndarray:
         """Certify the ``wanted`` LP triples; returns the feasibility mask."""
         v_own, v_cross = self.tables.v_own, self.tables.v_cross
-        for x, y, z in np.argwhere(self.needs_lp & wanted):
-            idx = np.flatnonzero(self.members[:, x, y, z])
+        for k, x, y, z in np.argwhere(self.needs_lp & wanted).tolist():
+            idx = np.flatnonzero(self.members[:, k, x, y, z])
             found = _mixture_belief(v_own[idx, x], v_cross[idx, z], x, y)
             if found is not None:
                 belief = np.zeros(self.tables.n_params)
                 belief[idx] = found[0]
-                self.mixtures[(int(x), int(y), int(z))] = (belief, found[1])
-                self.feasible[x, y, z] = True
+                self.mixtures[(k, x, y, z)] = (belief, found[1])
+                self.feasible[k, x, y, z] = True
         return self.feasible
 
-    def support(self, x: int, y: int, z: int) -> tuple[np.ndarray, tuple[int, ...], bool, bool]:
-        """(belief, minimizers, all infinite, mixture) of a feasible triple."""
-        if self.has_single[x, y, z]:
+    def support(self, *at: int) -> tuple[np.ndarray, tuple[int, ...], bool, bool]:
+        """(belief, minimizers, all infinite, mixture) of a feasible (k, x, y, z)."""
+        if self.has_single[at]:
             belief, mixture = np.zeros(self.tables.n_params), False
-            belief[self.first[x, y, z]] = 1.0
+            belief[self.first[at]] = 1.0
         else:
-            belief, mixture = self.mixtures[(x, y, z)]
-        members = tuple(int(t) for t in np.flatnonzero(self.members[:, x, y, z]))
-        return belief.copy(), members, bool(self.all_inf[x, y, z]), mixture
+            belief, mixture = self.mixtures[at]
+        members = tuple(int(t) for t in np.flatnonzero(self.members[(slice(None), *at)]))
+        return belief.copy(), members, bool(self.all_inf[at]), mixture
 
 
 class SituationProblem:
@@ -261,7 +265,11 @@ class SituationProblem:
         return np.concatenate([cut_a, 1.0 - cut_b])
 
     def solve(self, shares: tuple[float, float]) -> list[SituationOutcome]:
-        """All self-confirming pure-play outcomes at the given shares.
+        """All self-confirming pure-play outcomes at one share pair."""
+        return self.solve_many([shares])[0]
+
+    def solve_many(self, shares_seq) -> list[list[SituationOutcome]]:
+        """``solve`` at each share pair, bit for bit, in chunks of shares.
 
         Group A's constraints depend on (a_AA, a_AB, a_BA) only and group
         B's on (a_AB, a_BA, a_BB), so each group's triples are certified
@@ -270,21 +278,25 @@ class SituationProblem:
         the LP only when the other group has a triple that completes it and
         its minimizers share no preferred deviation beyond the tie slack.
         """
-        p_a, p_b = validate_shares(shares)
+        shares = np.array([validate_shares(s) for s in shares_seq]).reshape(-1, 2)
+        size = max(1, CHUNK_ELEMENTS // max(tables.inf.size for tables in self.groups))
+        return [outcomes for start in range(0, len(shares), size)
+                for outcomes in self._solve_chunk(*shares[start:start + size].T)]
+
+    def _solve_chunk(self, p_a: np.ndarray, p_b: np.ndarray) -> list[list[SituationOutcome]]:
         cut_a = _GroupCut(self.groups[0], p_a, p_b)
         cut_b = _GroupCut(self.groups[1], p_b, p_a)
-        # B's own frame [l, k, j] read on A's axes [j, k, l]
-        maybe_b = (cut_b.has_single | cut_b.needs_lp).transpose(2, 1, 0)
-        feas_a = cut_a.run_lp(maybe_b.any(axis=2)[None])
-        feas_b = cut_b.run_lp(feas_a.any(axis=0).T[None]).transpose(2, 1, 0)
+        # B's own frame [k, l, m, j] read on A's axes [k, j, m, l]
+        maybe_b = (cut_b.has_single | cut_b.needs_lp).transpose(0, 3, 2, 1)
+        feas_a = cut_a.run_lp(maybe_b.any(axis=3)[:, None])
+        feas_b = cut_b.run_lp(feas_a.any(axis=1).swapaxes(1, 2)[:, None]).transpose(0, 3, 2, 1)
 
-        outcomes = []
-        for i, j, k, l in np.argwhere(feas_a[:, :, :, None] & feas_b[None]):
-            i, j, k, l = int(i), int(j), int(k), int(l)
-            belief_a, min_a, inf_a, mix_a = cut_a.support(i, j, k)
-            belief_b, min_b, inf_b, mix_b = cut_b.support(l, k, j)
-            outcomes.append(SituationOutcome(
-                self.situation, (i, j, k, l), belief_a, belief_b, min_a, min_b,
+        outcomes = [[] for _ in p_a]
+        for k, i, j, m, l in np.argwhere(feas_a[..., None] & feas_b[:, None]).tolist():
+            belief_a, min_a, inf_a, mix_a = cut_a.support(k, i, j, m)
+            belief_b, min_b, inf_b, mix_b = cut_b.support(k, l, m, j)
+            outcomes[k].append(SituationOutcome(
+                self.situation, (i, j, m, l), belief_a, belief_b, min_a, min_b,
                 inf_a, inf_b, mix_a, mix_b))
         return outcomes
 
@@ -294,13 +306,14 @@ def enumerate_situation_ez(env: StageEnv, model_a, model_b, G,
     """All self-confirming pure-play outcomes of one situation.
 
     Builds the situation's problem and solves it once; to solve at several
-    shares, build one ``SituationProblem`` and call ``solve`` for each.
+    shares, build one ``SituationProblem`` and call ``solve_many`` on all.
     """
     return SituationProblem(env, model_a, model_b, G).solve(shares)
 
 
-def _compose(per_situation: list[list[SituationOutcome]],
-             shares: tuple[float, float]) -> list[Zeitgeist]:
+def compose_states(per_situation: list[list[SituationOutcome]],
+                   shares: tuple[float, float]) -> list[Zeitgeist]:
+    """States at ``shares``: the product of the situations' outcome lists."""
     count = 1
     for lst in per_situation:
         count *= len(lst)
@@ -319,20 +332,15 @@ def enumerate_ez(env: StageEnv, model_a, model_b,
     Situations decouple, so the state list is the product of per-situation
     outcome lists.  Raises when that product would be unreasonably large.
     """
-    return _compose([enumerate_situation_ez(env, model_a, model_b, G, shares)
-                     for G in env.situations], shares)
-
-
-def solve_states(problems: list[SituationProblem],
-                 shares: tuple[float, float]) -> list[Zeitgeist]:
-    """``enumerate_ez`` over prebuilt problems, one per situation in order."""
-    return _compose([p.solve(shares) for p in problems], shares)
+    return compose_states([enumerate_situation_ez(env, model_a, model_b, G, shares)
+                           for G in env.situations], shares)
 
 
 def match_payoffs(env: StageEnv, G, quadruple) -> np.ndarray:
     """m[..., g, h]: objective payoff of group g against group h in situation G
     under each play quadruple (a_AA, a_AB, a_BA, a_BB) on the last axis."""
-    play = np.reshape(quadruple, (*np.shape(quadruple)[:-1], 2, 2))   # [..., g, h]
+    quads = np.asarray(quadruple, dtype=int)
+    play = quads.reshape(*quads.shape[:-1], 2, 2) if quads.size else quads.reshape(0, 2, 2)
     return env.payoff_matrix(G)[play, np.swapaxes(play, -1, -2)]
 
 
@@ -341,11 +349,11 @@ def share_blend(m: np.ndarray, shares: tuple[float, float]) -> np.ndarray:
     return m[..., 0] * shares[0] + m[..., 1] * shares[1]
 
 
-def situation_payoffs(env: StageEnv, outcomes, weights) -> np.ndarray:
-    """Match payoffs of one outcome per situation, summed as w_g m_g from zeros
-    in situation order."""
-    return sum((weights[gi] * match_payoffs(env, gi, o.quadruple)
-                for gi, o in enumerate(outcomes)), np.zeros((2, 2)))
+def situation_payoffs(env: StageEnv, quadruples, weights) -> np.ndarray:
+    """Match payoffs summed as w_g m_g from zeros in situation order, of one
+    quadruple, or one stack of them, per situation."""
+    return sum((weights[gi] * match_payoffs(env, gi, quads)
+                for gi, quads in enumerate(quadruples)), np.zeros((2, 2)))
 
 
 def fitness(z: Zeitgeist, env: StageEnv, q=None) -> np.ndarray:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .games import (TOL, StageEnv, as_weights, best_reply_mask, slack,
                     symmetric_nash)
-from .solver import (SituationProblem, Zeitgeist, match_payoffs, max_margin,
-                     share_blend, situation_payoffs, solve_states)
+from .solver import (SituationProblem, Zeitgeist, compose_states, match_payoffs,
+                     max_margin, share_blend, situation_payoffs)
 
 DEFAULT_EPS_LIST = (0.1, 0.05, 0.01, 0.005, 0.001)
 
@@ -55,8 +55,8 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
 
     States decouple across situations, so the extreme total gaps are the
     weighted sums of per-situation extreme gaps; the full product of states
-    is never materialized.  Each situation's problem is built once and
-    solved at every invasion size, and its outcomes are scored in one gather.
+    is never materialized.  Each situation is solved at every invasion size
+    in one ``solve_many`` call, and its outcomes are scored in one gather.
     """
     if not len(eps_list):
         raise ValueError("need at least one invasion size")
@@ -64,15 +64,14 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
     if not all(0.0 < eps < 1.0 for eps in eps_sorted):
         raise ValueError("invasion sizes must lie strictly between 0 and 1")
     weights = as_weights(q, env.n_situations)
-    problems = [SituationProblem(env, model_resident, model_entrant, G)
-                for G in env.situations]
+    share_list = [(1.0 - eps, eps) for eps in eps_sorted]
+    solved = [SituationProblem(env, model_resident, model_entrant, G).solve_many(share_list)
+              for G in env.situations]
     evidence = []
-    for eps in eps_sorted:
-        shares = (1.0 - eps, eps)
+    for eps, shares, *per_situation in zip(eps_sorted, share_list, *solved):
         counts = []
         lo = hi = 0.0
-        for gi, problem in enumerate(problems):
-            outcomes = problem.solve(shares)
+        for gi, outcomes in enumerate(per_situation):
             counts.append(len(outcomes))
             if not outcomes:
                 continue
@@ -120,15 +119,18 @@ def detect_reversal(env: StageEnv, model_a, model_b) -> ReversalResult:
     With group A as the whole population, A must beat B conditional on both
     opponent groups in every state; with group B as the whole population, B
     must have the higher total fitness in every state.  Situations are
-    weighted equally, as in ``fitness``.
+    weighted equally, as in ``fitness``; each is solved once, at both shares.
     """
     weights = as_weights(None, env.n_situations)
-    problems = [SituationProblem(env, model_a, model_b, G) for G in env.situations]
-    states_a = tuple(solve_states(problems, (1.0, 0.0)))
-    states_b = tuple(solve_states(problems, (0.0, 1.0)))
+    extremes = [(1.0, 0.0), (0.0, 1.0)]
+    solved = [SituationProblem(env, model_a, model_b, G).solve_many(extremes)
+              for G in env.situations]
+    states_a, states_b = (tuple(compose_states(per_situation, shares))
+                          for shares, per_situation in zip(extremes, zip(*solved)))
 
-    m_a = [situation_payoffs(env, z.outcomes, weights) for z in states_a]
-    f_b = [share_blend(situation_payoffs(env, z.outcomes, weights), z.shares) for z in states_b]
+    m_a = [situation_payoffs(env, [o.quadruple for o in z.outcomes], weights) for z in states_a]
+    f_b = [share_blend(situation_payoffs(env, [o.quadruple for o in z.outcomes], weights), z.shares)
+           for z in states_b]
     cond_a = bool(m_a) and all(beats_both(m) for m in m_a)
     cond_b = bool(f_b) and all(f[1] > f[0] + TOL for f in f_b)
 
@@ -220,19 +222,20 @@ def stable_shares(env: StageEnv, model_a, model_b, q=None) -> StableSharesResult
 
     Each group's objective is affine in the shares and its best-reply
     tables do not depend on them, so the state list can change only at a
-    cell end (``share_cell_ends``).  Each cell is solved once, at its
-    midpoint; interior ends are never solved.  A cell's line comes from
-    the situation-weighted sum of its first state's match payoffs: each
+    cell end (``share_cell_ends``).  Each cell is solved at its midpoint,
+    all in one ``solve_many`` call per situation.  A cell's line is the
+    ``situation_payoffs`` sum of its first state's match payoffs: each
     situation's first outcome, so the product of outcomes is never formed."""
     weights = as_weights(q, env.n_situations)
     problems = [SituationProblem(env, model_a, model_b, G) for G in env.situations]
     ends = share_cell_ends(problems)
-    lines = []
-    for p in np.add(ends[:-1], ends[1:]) / 2.0:
-        outcomes = [problem.solve((p, 1.0 - p)) for problem in problems]
-        lines.append(_gap_line(situation_payoffs(env, [o[0] for o in outcomes], weights))
-                     if all(outcomes) else None)
-    return _scan_cells(ends, lines)
+    solved = [problem.solve_many([(p, 1.0 - p) for p in np.add(ends[:-1], ends[1:]) / 2.0])
+              for problem in problems]
+    live = [c for c, per_situation in enumerate(zip(*solved)) if all(per_situation)]
+    m = situation_payoffs(env, [[per_share[c][0].quadruple for c in live] for per_share in solved],
+                          weights)
+    lines = dict(zip(live, map(_gap_line, m)))
+    return _scan_cells(ends, [lines.get(c) for c in range(len(ends) - 1)])
 
 
 @dataclass(frozen=True)

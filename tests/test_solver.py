@@ -146,6 +146,20 @@ def test_stacked_match_payoffs_equal_each_quadruple():
             assert blended[idx].tobytes() == share_blend(single, (0.3, 0.7)).tobytes()
 
 
+def test_match_payoffs_of_an_empty_stack():
+    # no quadruple gives no match payoffs, as a share scan with no state
+    # gathers them; a single quadruple still gives one 2 x 2 block
+    rng = np.random.default_rng(9)
+    env = random_env(rng, n_strategies=4, n_consequences=3, n_situations=2)
+    for G in env.situations:
+        assert match_payoffs(env, G, []).shape == (0, 2, 2)
+        assert match_payoffs(env, G, np.empty((0, 4), dtype=int)).shape == (0, 2, 2)
+        single = match_payoffs(env, G, (1, 3, 0, 2))
+        pi = env.payoff_matrix(G)
+        want = np.array([[pi[1, 1], pi[3, 0]], [pi[0, 3], pi[2, 2]]])
+        assert single.shape == (2, 2) and single.tobytes() == want.tobytes()
+
+
 def test_package_exports_resolve():
     import zeitgeist
     for name in zeitgeist.__all__:

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (coordination_env, decision_env, mismatch_env, random_env,
-                      random_model)
+                      random_model, tie_env)
 from zeitgeist import catalog, solver, stability
 from zeitgeist.games import TOL, StageEnv, best_response_indices, symmetric_nash
 from zeitgeist.inference import kl_profile_tables
@@ -287,6 +289,18 @@ def _scan_pairs():
             (env_i, ia, ib)]
 
 
+def _cell_draws():
+    """20 random problems of 2-4 strategies and 1-2 situations, from one seed."""
+    rng = np.random.default_rng(1)
+    draws = []
+    for _ in range(20):
+        env = random_env(rng, n_strategies=int(rng.integers(2, 5)),
+                         n_situations=int(rng.integers(1, 3)))
+        draws.append((env, random_model(rng, env, int(rng.integers(2, 7)), "a"),
+                      random_model(rng, env, int(rng.integers(2, 7)), "b")))
+    return draws
+
+
 def _outcome_keys(problems, p):
     return [[(o.quadruple, o.belief_a.tobytes(), o.belief_b.tobytes(),
               o.minimizers_a, o.minimizers_b) for o in problem.solve((p, 1.0 - p))]
@@ -299,14 +313,8 @@ def test_cells_hold_one_state_list():
     # perfect-monitoring models with fixed conjectures give infinite terms.
     # The draw that reaches the belief LP most makes 13 LP calls and takes
     # about 0.05 s; the whole test takes about 0.3 s on a 2-vCPU x86_64 box.
-    rng = np.random.default_rng(1)
     cases = [(*case, np.linspace(0.0, 1.0, 101)) for case in _scan_pairs()]
-    for _ in range(20):
-        env = random_env(rng, n_strategies=int(rng.integers(2, 5)),
-                         n_situations=int(rng.integers(1, 3)))
-        cases.append((env, random_model(rng, env, int(rng.integers(2, 7)), "a"),
-                      random_model(rng, env, int(rng.integers(2, 7)), "b"),
-                      np.linspace(0.0, 1.0, 11)))
+    cases += [(*case, np.linspace(0.0, 1.0, 11)) for case in _cell_draws()]
     compared = multi_cell = infinite = 0
     for env, ma, mb, grid in cases:
         problems = [SituationProblem(env, ma, mb, G) for G in env.situations]
@@ -324,6 +332,65 @@ def test_cells_hold_one_state_list():
             assert _outcome_keys(problems, p) == at_mid[i]
             compared += 1
     assert multi_cell >= 16 and infinite >= 10 and compared >= 350
+
+
+@pytest.fixture(scope="module")
+def duopoly_11():
+    return catalog.build_cournot_discrete(catalog.CournotSpec(10, 2, 1, 0.5),
+                                          np.linspace(0.0, 8.0, 11), 60, 2.0)
+
+
+def _solution_keys(outcomes):
+    return [(o.quadruple, o.belief_a.tobytes(), o.belief_b.tobytes(), o.minimizers_a,
+             o.minimizers_b, o.all_infinite_a, o.all_infinite_b, o.mixture_a, o.mixture_b)
+            for o in outcomes]
+
+
+def test_batched_solve_equals_one_share_solves(duopoly_11, monkeypatch):
+    # each share of one solve_many call gets, bit for bit, what a one-share
+    # solve of a separately built problem gets.  Every batch holds the
+    # shares 0 and 1; the pool problem reaches the belief LP at share 0,
+    # and the duopoly's 21 shares span three chunks.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import enumerate_pool
+
+    grid = np.linspace(0.0, 1.0, 11)
+    cases = [(*case, grid) for case in _scan_pairs() + _cell_draws()]
+    rng = np.random.default_rng(77)
+    for _ in range(10):
+        env = tie_env(rng, n_strategies=int(rng.integers(2, 5)),
+                      n_situations=int(rng.integers(1, 3)), jitter=1e-12)
+        cases.append((env, random_model(rng, env, int(rng.integers(2, 6)), "a"),
+                      random_model(rng, env, int(rng.integers(2, 6)), "b"), grid))
+    cases.append((*enumerate_pool()[3][:3], grid))
+    cases.append((*duopoly_11, np.linspace(0.0, 1.0, 21)))
+    compared = mixtures = chunked = 0
+    for env, ma, mb, shares in cases:
+        pairs = [(p, 1.0 - p) for p in shares]
+        for G in env.situations:
+            problem = SituationProblem(env, ma, mb, G)
+            single = SituationProblem(env, ma, mb, G)
+            chunked += len(pairs) > solver.CHUNK_ELEMENTS // max(
+                tables.inf.size for tables in problem.groups)
+            for pair, got in zip(pairs, problem.solve_many(pairs), strict=True):
+                assert _solution_keys(got) == _solution_keys(single.solve(pair))
+                compared += len(got)
+                mixtures += sum(o.mixture_supported for o in got)
+    assert chunked == 1 and mixtures >= 100 and compared >= 1500
+
+
+def test_stable_shares_memory_stays_bounded(duopoly_11):
+    # the duopoly's 1116 cell midpoints solved in one unchunked batch peak
+    # near 371 MiB; in chunks the peak is the cell-end pass, near 36 MiB
+    env, ma, mb = duopoly_11
+    tracemalloc.start()
+    try:
+        with env.kernels[0].bank:
+            result = stable_shares(env, ma, mb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.ends) == 1117 and peak < 40 * 2**20
 
 
 def _line_tables(intercepts, slopes):
