@@ -93,6 +93,8 @@ def cournot_closed_form(spec: CournotSpec) -> CournotClosedForm:
 # ---------------------------------------------------------------------------
 # duopoly discretization
 
+MASS_CHUNK = 64          # rows per pass of GaussianGridKernel.masses: bounds its temporaries
+
 
 class MassBank:
     """Bin axis and noise scale shared by a build's kernels, so that a row
@@ -178,15 +180,18 @@ class GaussianGridKernel:
         """
         from scipy.special import ndtr   # slow to import, needed only here
         mus = np.atleast_1d(np.asarray(mus, dtype=float))
-        z = (self.bank.edges[None, :] - mus[:, None]) / self.bank.sigma
-        tail = ndtr(-np.abs(z))
-        upper = z[:, 1:] > 0.0
-        start = tail[:, :-1].copy()
-        straddle = upper & (z[:, :-1] <= 0.0)
-        start[straddle] = ndtr(-z[:, :-1][straddle])
-        mass = np.where(upper, start - tail[:, 1:], tail[:, 1:] - start)
-        np.maximum(mass, 0.0, out=mass)
-        return mass / mass.sum(axis=1, keepdims=True)
+        out = np.empty((len(mus), len(self.bank.centers)))
+        for lo in range(0, len(mus), MASS_CHUNK):
+            z = (self.bank.edges[None, :] - mus[lo:lo + MASS_CHUNK, None]) / self.bank.sigma
+            tail = ndtr(-np.abs(z))
+            upper = z[:, 1:] > 0.0
+            start = tail[:, :-1].copy()
+            straddle = upper & (z[:, :-1] <= 0.0)
+            start[straddle] = ndtr(-z[:, :-1][straddle])
+            mass = np.where(upper, start - tail[:, 1:], tail[:, 1:] - start)
+            np.maximum(mass, 0.0, out=mass)
+            np.divide(mass, mass.sum(axis=1, keepdims=True), out=out[lo:lo + MASS_CHUNK])
+        return out
 
     def row(self, i: int, j: int) -> np.ndarray:
         return self.bank.row(self.mean(i, j), self.masses)

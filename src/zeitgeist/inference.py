@@ -20,6 +20,9 @@ import numpy as np
 
 from .games import TOL, slack
 
+# entries of a divergence temporary [t, i, j, og, y] or objective [t, k, x, y, z]
+CHUNK_ELEMENTS = 2 ** 18
+
 
 def kl_divergence(p, q) -> float:
     """KL divergence (nats) between two finite distributions on a common support.
@@ -144,34 +147,39 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def conjecture_columns(model, og: int, n: int) -> np.ndarray:
-    """Opponent action each parameter conjectures for group ``og`` when the
-    actual one is j, shape (P, n); free (None) conjectures track j."""
-    conj = np.array([-1 if p.conj_a[og] is None else p.conj_a[og]
-                     for p in model.params])
-    return np.where(conj[:, None] < 0, np.arange(n), conj[:, None])
+def conjectures(params, n: int) -> np.ndarray:
+    """Opponent action each parameter conjectures when the actual one is j,
+    for each opponent group og, shape (P, n, 2); free (None) conjectures track j."""
+    conj = np.array([[-1 if c is None else c for c in p.conj_a] for p in params])   # [t, og]
+    return np.where(conj[:, None] < 0, np.arange(n)[:, None], conj[:, None])
 
 
-def kl_profile_tables(model, env, G) -> np.ndarray:
+def kl_profile_tables(model, env, G, cols=None) -> np.ndarray:
     """Per-parameter divergence of every data profile, shape (P, n, n, 2).
 
     ``table[t, i, j, og]`` is the divergence term when a data profile
     (own strategy i, opponent strategy j, opponent group og) is explained by
     parameter ``t``.  The weighted objective of any context is a two-term
-    combination of entries, which is what the enumeration exploits.
+    combination of entries, which is what the enumeration exploits.  A
+    sequence of models stacks its parameters along ``t``; ``cols`` are their
+    ``conjectures``.  Slices of parameters keep each temporary [t, i, j, og,
+    y] within ``CHUNK_ELEMENTS`` entries; the bits do not depend on them.
     """
-    gi = env.situation_index(G)
+    params = [p for m in (model if isinstance(model, (list, tuple)) else [model]) for p in m.params]
     n = env.n_strategies
-    truth = env.kernel(gi)
-    true_rows = np.stack([truth.rows_for_own(i) for i in range(n)])     # [i, j, y]
-    rows = np.stack([np.stack([p.kernel.rows_for_own(i) for i in range(n)])
-                     for p in model.params])                            # [t, i, j, y]
+    truth = env.kernel(env.situation_index(G))
+    true_rows = np.array([truth.rows_for_own(i) for i in range(n)])[None, :, :, None]
     mon = env.monitoring.rows
     kl_mon = _kl_rows(mon[:, None, :], mon[None, :, :])                 # [j, c]
     # a free conjecture predicts the actual action, whose monitoring term
     # kl_mon[j, j] is exactly zero
-    cols = np.stack([conjecture_columns(model, og, n) for og in (0, 1)], axis=-1)   # [t, j, og]
-    predicted = rows[np.arange(len(model.params))[:, None, None, None],
-                     np.arange(n)[:, None, None], cols[:, None]]        # [t, i, j, og, y]
-    return (_kl_rows(true_rows[None, :, :, None], predicted)
-            + kl_mon[np.arange(n)[:, None], cols][:, None])
+    cols = conjectures(params, n) if cols is None else cols             # [t, j, og]
+    table = np.empty((len(params), n, n, 2))
+    step = max(1, CHUNK_ELEMENTS // (2 * true_rows.size))
+    for part in (slice(s, s + step) for s in range(0, len(params), step)):
+        rows = np.array([[p.kernel.rows_for_own(i) for i in range(n)] for p in params[part]])
+        predicted = rows[np.arange(len(rows))[:, None, None, None],
+                         np.arange(n)[:, None, None], cols[part, None]]  # [t, i, j, og, y]
+        table[part] = (_kl_rows(true_rows, predicted)
+                       + kl_mon[np.arange(n)[:, None], cols[part]][:, None])
+    return table

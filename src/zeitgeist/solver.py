@@ -10,11 +10,13 @@ four actions are subjectively optimal under those beliefs.
 
 ``SituationProblem`` builds once what does not depend on the shares: KL
 profile tables, subjective payoffs and the tensor of single-parameter
-rationalizers.  Its ``solve_many`` weights the tables along a leading axis
-of shares, cuts every minimizer set at once, takes the first single-
-parameter rationalizer as a degenerate belief, and runs the max-margin
-mixture LP only for triples with none that the other group could complete
-and with no deviation that every minimizer prefers beyond the tie slack."""
+rationalizers, in one pass over both models' stacked parameters.  One
+feasibility pass weights the tables along a leading axis of shares, cuts
+every minimizer set at once, takes the first single-parameter
+rationalizer as a degenerate belief, and runs the max-margin mixture LP
+only for triples with none that the other group could complete and with
+no deviation that every minimizer prefers beyond the tie slack; its play
+quadruples are ``quadruples``, and ``solve_many`` adds their beliefs."""
 
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import TOL, StageEnv, as_weights, slack, tie_tolerance
-from .inference import (DataContext, conjecture_columns, kl_minimizers,
+from .inference import (CHUNK_ELEMENTS, DataContext, conjectures, kl_minimizers,
                         kl_profile_tables, member_cut, validate_shares)
 
 QUAD_KEYS = ("a_AA", "a_AB", "a_BA", "a_BB")
@@ -32,9 +34,6 @@ QUAD_KEYS = ("a_AA", "a_AB", "a_BA", "a_BB")
 # composing per-situation results across situations multiplies counts;
 # beyond this the caller should work situation by situation
 MAX_COMPOSED = 200_000
-
-# a chunk of shares keeps each objective tensor [t, k, x, y, z] within this size
-CHUNK_ELEMENTS = 2 ** 18
 
 
 def linprog(*args, **kwargs):
@@ -100,17 +99,6 @@ class Zeitgeist:
         return any(o.mixture_supported for o in self.outcomes)
 
 
-def _conjectured_columns(model, group: int, member_idx: np.ndarray,
-                         default_own: int, default_cross: int) -> tuple[np.ndarray, np.ndarray]:
-    """Opponent actions each parameter expects, vs own group and vs the other.
-
-    Free conjectures (None) fall back to the actual play passed as defaults.
-    """
-    conj = [model.params[t].conj_a for t in member_idx]
-    return tuple(np.array([default if c[og] is None else c[og] for c in conj], dtype=int)
-                 for og, default in ((group, default_own), (1 - group, default_cross)))
-
-
 def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
                     a_cross: int) -> tuple[np.ndarray, bool] | None:
     """Mixture over the rows of ``v_own``/``v_cross`` making (a_own, a_cross)
@@ -153,36 +141,14 @@ class _GroupTables:
     ``t`` is a model parameter, ``x`` the group's action against its own
     group, ``y`` its action against the other group and ``z`` the other
     group's action against it: (a_AA, a_AB, a_BA) for group A and
-    (a_BB, a_BA, a_AB) for group B.
+    (a_BB, a_BA, a_AB) for group B.  The arrays are the group's rows of the
+    pass ``SituationProblem`` makes over both models' stacked parameters.
     """
 
-    def __init__(self, env: StageEnv, model, group: int, gi: int):
-        n = env.n_strategies
-        self.n_params = model.n_params
-        table = kl_profile_tables(model, env, gi)
-        diag = table[:, np.arange(n), np.arange(n), group]      # [t, x]
-        cross = table[:, :, :, 1 - group]                        # [t, y, z]
-        # infinite terms are kept apart, so a zero share never meets 0 * inf
-        self.inf = np.isinf(diag)[:, :, None, None] | np.isinf(cross)[:, None]
-        self.diag = np.where(np.isinf(diag), 0.0, diag)
-        self.cross = np.where(np.isinf(cross), 0.0, cross)
-
-        # payoff of every own action against each parameter's conjectured
-        # opponent action, [t, x, a] and [t, z, a]
-        pay = np.stack([p.kernel.payoff_matrix(env.utility) for p in model.params])
-        self.v_own, self.v_cross = (
-            np.take_along_axis(pay, conjecture_columns(model, og, n)[:, None, :],
-                               axis=2).transpose(0, 2, 1)
-            for og in (group, 1 - group))
-
-        # ok[t, x, y, z]: parameter t alone makes x and y optimal, under the
-        # verifier's tie slack scaled to both payoff columns
-        tie = slack(np.maximum(np.abs(self.v_own).max(axis=2)[:, :, None],
-                               np.abs(self.v_cross).max(axis=2)[:, None, :]))   # [t, x, z]
-        gap_own = np.diagonal(self.v_own, axis1=1, axis2=2) - self.v_own.max(axis=2)
-        gap_cross = self.v_cross - self.v_cross.max(axis=2, keepdims=True)   # [t, z, y]
-        self.ok = ((gap_own[:, :, None, None] >= -tie[:, :, None, :])
-                   & (gap_cross.transpose(0, 2, 1)[:, None] >= -tie[:, :, None, :]))
+    def __init__(self, inf, diag, cross, v_own, v_cross, ok):
+        self.inf, self.diag, self.cross = inf, diag, cross
+        self.v_own, self.v_cross, self.ok = v_own, v_cross, ok
+        self.n_params = len(diag)
 
     def objective(self, w_own: np.ndarray, w_cross: np.ndarray) -> np.ndarray:
         """Weighted objective [t, k, x, y, z] of every parameter and triple."""
@@ -256,8 +222,32 @@ class SituationProblem:
         _require_compatible(env, model_b, "B")
         gi = env.situation_index(G)
         self.situation = env.situations[gi]
-        self.groups = (_GroupTables(env, model_a, 0, gi),
-                       _GroupTables(env, model_b, 1, gi))
+        n = env.n_strategies
+        params, split = model_a.params + model_b.params, model_a.n_params
+        t = np.arange(len(params))
+        own = np.repeat([0, 1], [split, model_b.n_params])              # each row's group
+        cols = conjectures(params, n)                                   # [t, j, og]
+        table = kl_profile_tables((model_a, model_b), env, gi, cols)    # [t, i, j, og]
+        diag = table[t[:, None], np.arange(n), np.arange(n), own[:, None]]   # [t, x]
+        cross = table[t, :, :, 1 - own]                                 # [t, y, z]
+        # infinite terms are kept apart, so a zero share never meets 0 * inf
+        inf = np.isinf(diag)[:, :, None, None] | np.isinf(cross)[:, None]
+        diag, cross = (np.where(np.isinf(a), 0.0, a) for a in (diag, cross))
+        # payoff of every own action against each parameter's conjectured
+        # action of the row's own group, [t, x, a], and of the other, [t, z, a]
+        pay = np.array([p.kernel.payoff_matrix(env.utility) for p in params])   # [t, a, c]
+        v_own, v_cross = (pay[t[:, None, None], np.arange(n)[:, None], cols[t, :, og][:, None]]
+                          .transpose(0, 2, 1) for og in (own, 1 - own))
+        # ok[t, x, y, z]: parameter t alone makes x and y optimal, under the
+        # verifier's tie slack scaled to both payoff columns
+        tie = slack(np.maximum(np.abs(v_own).max(axis=2)[:, :, None],
+                               np.abs(v_cross).max(axis=2)[:, None, :]))   # [t, x, z]
+        gap_own = np.diagonal(v_own, axis1=1, axis2=2) - v_own.max(axis=2)
+        gap_cross = v_cross - v_cross.max(axis=2, keepdims=True)   # [t, z, y]
+        ok = ((gap_own[:, :, None, None] >= -tie[:, :, None, :])
+              & (gap_cross.transpose(0, 2, 1)[:, None] >= -tie[:, :, None, :]))
+        self.groups = tuple(_GroupTables(*(a[rows] for a in (inf, diag, cross, v_own, v_cross, ok)))
+                            for rows in (slice(None, split), slice(split, None)))
 
     def share_cuts(self) -> np.ndarray:
         """Group A's shares at both groups' ``crossings``; B's own share is 1 - p_A."""
@@ -269,36 +259,49 @@ class SituationProblem:
         return self.solve_many([shares])[0]
 
     def solve_many(self, shares_seq) -> list[list[SituationOutcome]]:
-        """``solve`` at each share pair, bit for bit, in chunks of shares.
+        """``solve`` at each share pair, bit for bit: the ``quadruples`` with
+        both groups' beliefs and minimizer sets."""
+        outcomes = []
+        for cut_a, cut_b, hits in self._passes(shares_seq):
+            chunk = [[] for _ in cut_a.feasible]
+            for k, i, j, m, l in hits.tolist():
+                belief_a, min_a, inf_a, mix_a = cut_a.support(k, i, j, m)
+                belief_b, min_b, inf_b, mix_b = cut_b.support(k, l, m, j)
+                chunk[k].append(SituationOutcome(
+                    self.situation, (i, j, m, l), belief_a, belief_b, min_a, min_b,
+                    inf_a, inf_b, mix_a, mix_b))
+            outcomes += chunk
+        return outcomes
+
+    def quadruples(self, shares_seq) -> list[np.ndarray]:
+        """The play quadruples at each share pair, as one (H, 4) int array
+        per share in ``solve_many``'s order, without assembling beliefs."""
+        quads = []
+        for cut_a, _, hits in self._passes(shares_seq):
+            counts = np.bincount(hits[:, 0], minlength=len(cut_a.feasible))
+            quads += np.split(hits[:, 1:], np.cumsum(counts)[:-1])
+        return quads
+
+    def _passes(self, shares_seq):
+        """Per chunk of shares, both groups' cuts and the compatible pairs of
+        their feasible triples: rows (k, a_AA, a_AB, a_BA, a_BB) in order.
 
         Group A's constraints depend on (a_AA, a_AB, a_BA) only and group
         B's on (a_AB, a_BA, a_BB), so each group's triples are certified
-        once and the quadruples are the compatible pairs, in lexicographic
-        order.  A triple without a single-parameter rationalizer reaches
+        once.  A triple without a single-parameter rationalizer reaches
         the LP only when the other group has a triple that completes it and
         its minimizers share no preferred deviation beyond the tie slack.
         """
         shares = np.array([validate_shares(s) for s in shares_seq]).reshape(-1, 2)
         size = max(1, CHUNK_ELEMENTS // max(tables.inf.size for tables in self.groups))
-        return [outcomes for start in range(0, len(shares), size)
-                for outcomes in self._solve_chunk(*shares[start:start + size].T)]
-
-    def _solve_chunk(self, p_a: np.ndarray, p_b: np.ndarray) -> list[list[SituationOutcome]]:
-        cut_a = _GroupCut(self.groups[0], p_a, p_b)
-        cut_b = _GroupCut(self.groups[1], p_b, p_a)
-        # B's own frame [k, l, m, j] read on A's axes [k, j, m, l]
-        maybe_b = (cut_b.has_single | cut_b.needs_lp).transpose(0, 3, 2, 1)
-        feas_a = cut_a.run_lp(maybe_b.any(axis=3)[:, None])
-        feas_b = cut_b.run_lp(feas_a.any(axis=1).swapaxes(1, 2)[:, None]).transpose(0, 3, 2, 1)
-
-        outcomes = [[] for _ in p_a]
-        for k, i, j, m, l in np.argwhere(feas_a[..., None] & feas_b[:, None]).tolist():
-            belief_a, min_a, inf_a, mix_a = cut_a.support(k, i, j, m)
-            belief_b, min_b, inf_b, mix_b = cut_b.support(k, l, m, j)
-            outcomes[k].append(SituationOutcome(
-                self.situation, (i, j, m, l), belief_a, belief_b, min_a, min_b,
-                inf_a, inf_b, mix_a, mix_b))
-        return outcomes
+        for p_a, p_b in (shares[start:start + size].T for start in range(0, len(shares), size)):
+            cut_a = _GroupCut(self.groups[0], p_a, p_b)
+            cut_b = _GroupCut(self.groups[1], p_b, p_a)
+            # B's own frame [k, l, m, j] read on A's axes [k, j, m, l]
+            maybe_b = (cut_b.has_single | cut_b.needs_lp).transpose(0, 3, 2, 1)
+            feas_a = cut_a.run_lp(maybe_b.any(axis=3)[:, None])
+            feas_b = cut_b.run_lp(feas_a.any(axis=1).swapaxes(1, 2)[:, None]).transpose(0, 3, 2, 1)
+            yield cut_a, cut_b, np.argwhere(feas_a[..., None] & feas_b[:, None])
 
 
 def enumerate_situation_ez(env: StageEnv, model_a, model_b, G,
@@ -432,9 +435,9 @@ def _check_group(env: StageEnv, model, group: int, outcome: SituationOutcome,
                           tuple(int(t) for t in stray), False,
                           -np.inf, -np.inf, False)
     # payoff columns only for the supported parameters
-    own_cols, cross_cols = _conjectured_columns(model, group, sup,
-                                                me_own, opp_cross)
     n = env.n_strategies
+    cols = conjectures([model.params[t] for t in sup], n)      # [r, j, og]
+    own_cols, cross_cols = cols[:, me_own, group], cols[:, opp_cross, 1 - group]
     v_own = np.zeros(n)
     v_cross = np.zeros(n)
     for r, t in enumerate(sup):

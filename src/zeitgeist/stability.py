@@ -55,8 +55,8 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
 
     States decouple across situations, so the extreme total gaps are the
     weighted sums of per-situation extreme gaps; the full product of states
-    is never materialized.  Each situation is solved at every invasion size
-    in one ``solve_many`` call, and its outcomes are scored in one gather.
+    is never materialized.  Each situation's quadruples at every invasion
+    size come from one ``quadruples`` call and are scored in one gather.
     """
     if not len(eps_list):
         raise ValueError("need at least one invasion size")
@@ -65,17 +65,17 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
         raise ValueError("invasion sizes must lie strictly between 0 and 1")
     weights = as_weights(q, env.n_situations)
     share_list = [(1.0 - eps, eps) for eps in eps_sorted]
-    solved = [SituationProblem(env, model_resident, model_entrant, G).solve_many(share_list)
+    solved = [SituationProblem(env, model_resident, model_entrant, G).quadruples(share_list)
               for G in env.situations]
     evidence = []
     for eps, shares, *per_situation in zip(eps_sorted, share_list, *solved):
         counts = []
         lo = hi = 0.0
-        for gi, outcomes in enumerate(per_situation):
-            counts.append(len(outcomes))
-            if not outcomes:
+        for gi, quads in enumerate(per_situation):
+            counts.append(len(quads))
+            if not len(quads):
                 continue
-            fits = share_blend(match_payoffs(env, gi, [o.quadruple for o in outcomes]), shares)
+            fits = share_blend(match_payoffs(env, gi, quads), shares)
             gaps = fits[:, 0] - fits[:, 1]
             lo += weights[gi] * gaps.min()
             hi += weights[gi] * gaps.max()
@@ -223,17 +223,16 @@ def stable_shares(env: StageEnv, model_a, model_b, q=None) -> StableSharesResult
     Each group's objective is affine in the shares and its best-reply
     tables do not depend on them, so the state list can change only at a
     cell end (``share_cell_ends``).  Each cell is solved at its midpoint,
-    all in one ``solve_many`` call per situation.  A cell's line is the
+    all in one ``quadruples`` call per situation.  A cell's line is the
     ``situation_payoffs`` sum of its first state's match payoffs: each
-    situation's first outcome, so the product of outcomes is never formed."""
+    situation's first quadruple, so the product of outcomes is never formed."""
     weights = as_weights(q, env.n_situations)
     problems = [SituationProblem(env, model_a, model_b, G) for G in env.situations]
     ends = share_cell_ends(problems)
-    solved = [problem.solve_many([(p, 1.0 - p) for p in np.add(ends[:-1], ends[1:]) / 2.0])
+    solved = [problem.quadruples([(p, 1.0 - p) for p in np.add(ends[:-1], ends[1:]) / 2.0])
               for problem in problems]
-    live = [c for c, per_situation in enumerate(zip(*solved)) if all(per_situation)]
-    m = situation_payoffs(env, [[per_share[c][0].quadruple for c in live] for per_share in solved],
-                          weights)
+    live = [c for c, per_situation in enumerate(zip(*solved)) if all(map(len, per_situation))]
+    m = situation_payoffs(env, [[per_share[c][0] for c in live] for per_share in solved], weights)
     lines = dict(zip(live, map(_gap_line, m)))
     return _scan_cells(ends, [lines.get(c) for c in range(len(ends) - 1)])
 

@@ -419,6 +419,20 @@ def test_mass_bank_fill_computes_each_miss_once(cournot_51):
     assert served.tobytes() == truth.masses(mus).tobytes()
 
 
+def test_masses_in_chunks_equal_one_batch(cournot_51, monkeypatch):
+    # 314 means, the largest per-state batch of the scan at (1, 0), go
+    # through in five passes whose rows equal, byte for byte, one pass over
+    # all of them and one pass per mean
+    spec, grid, env, model_a, model_b = cournot_51
+    truth = env.kernels[0]
+    mus = np.concatenate([truth.intercept - truth.slope * (grid[i] + grid) for i in range(7)])[:314]
+    chunked = truth.masses(mus)
+    assert chunked.shape == (314, 200) and len(mus) > 4 * catalog.MASS_CHUNK
+    monkeypatch.setattr(catalog, "MASS_CHUNK", len(mus))
+    assert chunked.tobytes() == truth.masses(mus).tobytes()
+    assert chunked.tobytes() == np.concatenate([truth.masses(mu) for mu in mus]).tobytes()
+
+
 def _two_tail_masses(kernel, mus):
     """Bin masses from both tails at every edge, each bin taken from the
     tail its right edge lies in."""

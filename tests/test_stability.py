@@ -7,8 +7,8 @@ import pytest
 
 from conftest import (coordination_env, decision_env, mismatch_env, random_env,
                       random_model, tie_env)
-from zeitgeist import catalog, solver, stability
-from zeitgeist.games import TOL, StageEnv, best_response_indices, symmetric_nash
+from zeitgeist import catalog, inference, solver, stability
+from zeitgeist.games import TOL, StageEnv, best_response_indices, slack, symmetric_nash
 from zeitgeist.inference import kl_profile_tables
 from zeitgeist.models import illusion_of_control_model, minimal_correct_model
 from zeitgeist.solver import SituationProblem
@@ -346,6 +346,18 @@ def _solution_keys(outcomes):
             for o in outcomes]
 
 
+def _tie_draws():
+    """10 tie-rich problems of 2-4 strategies and 1-2 situations, from one seed."""
+    rng = np.random.default_rng(77)
+    draws = []
+    for _ in range(10):
+        env = tie_env(rng, n_strategies=int(rng.integers(2, 5)),
+                      n_situations=int(rng.integers(1, 3)), jitter=1e-12)
+        draws.append((env, random_model(rng, env, int(rng.integers(2, 6)), "a"),
+                      random_model(rng, env, int(rng.integers(2, 6)), "b")))
+    return draws
+
+
 def test_batched_solve_equals_one_share_solves(duopoly_11, monkeypatch):
     # each share of one solve_many call gets, bit for bit, what a one-share
     # solve of a separately built problem gets.  Every batch holds the
@@ -355,13 +367,7 @@ def test_batched_solve_equals_one_share_solves(duopoly_11, monkeypatch):
     from perfbench.workloads import enumerate_pool
 
     grid = np.linspace(0.0, 1.0, 11)
-    cases = [(*case, grid) for case in _scan_pairs() + _cell_draws()]
-    rng = np.random.default_rng(77)
-    for _ in range(10):
-        env = tie_env(rng, n_strategies=int(rng.integers(2, 5)),
-                      n_situations=int(rng.integers(1, 3)), jitter=1e-12)
-        cases.append((env, random_model(rng, env, int(rng.integers(2, 6)), "a"),
-                      random_model(rng, env, int(rng.integers(2, 6)), "b"), grid))
+    cases = [(*case, grid) for case in _scan_pairs() + _cell_draws() + _tie_draws()]
     cases.append((*enumerate_pool()[3][:3], grid))
     cases.append((*duopoly_11, np.linspace(0.0, 1.0, 21)))
     compared = mixtures = chunked = 0
@@ -377,6 +383,109 @@ def test_batched_solve_equals_one_share_solves(duopoly_11, monkeypatch):
                 compared += len(got)
                 mixtures += sum(o.mixture_supported for o in got)
     assert chunked == 1 and mixtures >= 100 and compared >= 1500
+
+
+def test_quadruples_equal_the_solved_outcomes(duopoly_11, monkeypatch):
+    # per share, the quadruple path gives the quadruples of solve_many: the
+    # same values in the same, strictly lexicographic, order, and a (0, 4)
+    # array where a share has no state.  The duopoly's 21 shares span three
+    # chunks; the pool problems are solved at 0, 0.37 and 1.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import enumerate_pool
+
+    grid = np.linspace(0.0, 1.0, 11)
+    cases = [(*case, grid) for case in _scan_pairs() + _cell_draws() + _tie_draws()]
+    cases += [(*problem[:3], (0.0, 0.37, 1.0)) for problem in enumerate_pool()]
+    cases.append((*duopoly_11, np.linspace(0.0, 1.0, 21)))
+    compared = empty = 0
+    for env, ma, mb, shares in cases:
+        pairs = [(p, 1.0 - p) for p in shares]
+        for G in env.situations:
+            problem = SituationProblem(env, ma, mb, G)
+            solved = problem.solve_many(pairs)
+            for quads, outcomes in zip(problem.quadruples(pairs), solved, strict=True):
+                rows = quads.tolist()
+                assert quads.shape == (len(outcomes), 4) and quads.dtype.kind == "i"
+                assert rows == [list(o.quadruple) for o in outcomes]
+                assert rows == sorted(rows) and len(set(map(tuple, rows))) == len(rows)
+                compared += len(quads)
+                empty += not len(quads)
+    assert compared >= 1600 and empty >= 80
+
+
+def _reference_tables(env, model, group, gi):
+    """One group's tables from its own model, with the per-group formulas:
+    one unsliced ``kl_profile_tables`` call and payoffs gathered per
+    opponent group by ``take_along_axis``."""
+    n = env.n_strategies
+    table = kl_profile_tables(model, env, gi)
+    diag = table[:, np.arange(n), np.arange(n), group]
+    cross = table[:, :, :, 1 - group]
+    pay = np.stack([p.kernel.payoff_matrix(env.utility) for p in model.params])
+
+    def columns(og):
+        conj = np.array([-1 if p.conj_a[og] is None else p.conj_a[og] for p in model.params])
+        return np.where(conj[:, None] < 0, np.arange(n), conj[:, None])
+
+    v_own, v_cross = (np.take_along_axis(pay, columns(og)[:, None, :], axis=2).transpose(0, 2, 1)
+                      for og in (group, 1 - group))
+    tie = slack(np.maximum(np.abs(v_own).max(axis=2)[:, :, None],
+                           np.abs(v_cross).max(axis=2)[:, None, :]))
+    gap_own = np.diagonal(v_own, axis1=1, axis2=2) - v_own.max(axis=2)
+    gap_cross = v_cross - v_cross.max(axis=2, keepdims=True)
+    ok = ((gap_own[:, :, None, None] >= -tie[:, :, None, :])
+          & (gap_cross.transpose(0, 2, 1)[:, None] >= -tie[:, :, None, :]))
+    return {"inf": np.isinf(diag)[:, :, None, None] | np.isinf(cross)[:, None],
+            "diag": np.where(np.isinf(diag), 0.0, diag),
+            "cross": np.where(np.isinf(cross), 0.0, cross),
+            "v_own": v_own, "v_cross": v_cross, "ok": ok}
+
+
+def test_stacked_tables_equal_per_model_tables(duopoly_11, monkeypatch):
+    # each group's rows of the one stacked, sliced pass equal, byte for
+    # byte, the tables built from that group's model alone in one slice.
+    # The draws mix free and fixed conjectures, unequal parameter counts and
+    # two situations; the duopoly's 42 stacked parameters take three slices
+    # at the default bound, and every problem is also built one parameter
+    # per slice.
+    cases = _scan_pairs() + _cell_draws() + _tie_draws() + [duopoly_11]
+    env, ma, mb = duopoly_11
+    assert 2 * (ma.n_params + mb.n_params) * env.n_strategies ** 2 * len(env.consequences) \
+        > 2 * inference.CHUNK_ELEMENTS
+    built = []
+    for bound in (inference.CHUNK_ELEMENTS, 1):
+        monkeypatch.setattr(inference, "CHUNK_ELEMENTS", bound)
+        built += [(env, ma, mb, gi, SituationProblem(env, ma, mb, gi))
+                  for env, ma, mb in cases for gi in range(env.n_situations)]
+    monkeypatch.setattr(inference, "CHUNK_ELEMENTS", 2 ** 62)
+    unequal = fixed = 0
+    for env, ma, mb, gi, problem in built:
+        unequal += ma.n_params != mb.n_params
+        fixed += any(c is not None for m in (ma, mb) for p in m.params for c in p.conj_a)
+        for group, (model, tables) in enumerate(zip((ma, mb), problem.groups)):
+            want = _reference_tables(env, model, group, gi)
+            assert tables.n_params == model.n_params
+            for key, value in want.items():
+                got = getattr(tables, key)
+                assert got.dtype == value.dtype and got.shape == value.shape, key
+                assert got.tobytes() == value.tobytes(), key
+    assert len(built) >= 80 and unequal >= 40 and fixed >= 40
+
+
+def test_problem_build_memory_stays_bounded(duopoly_11):
+    # building both groups' tables of the 11-point duopoly in one pass, its
+    # rows memoized, peaks near 7.2 MiB; one unsliced pass per group peaked
+    # at 8798058 bytes (8.39 MiB), the bound
+    env, ma, mb = duopoly_11
+    with env.kernels[0].bank:
+        SituationProblem(env, ma, mb, 0)
+        tracemalloc.start()
+        try:
+            SituationProblem(env, ma, mb, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 8798058
 
 
 def test_stable_shares_memory_stays_bounded(duopoly_11):
