@@ -25,7 +25,6 @@ from .games import TOL, DenseKernel, StageEnv, best_reply_mask, slack
 from .inference import DataContext
 from .models import Model, _certainty_form_model, singleton_model
 from .solver import SituationOutcome, Zeitgeist, verify_ez
-from .stability import beats_both
 
 # ---------------------------------------------------------------------------
 # duopoly closed forms
@@ -727,6 +726,6 @@ def dollar_analysis(K: int) -> DollarReport:
     game = _dollar_ladder(K)
     verified, margin, m = _profile(game, _pooled_rate(K))
     # both fitness lines are affine in the share, so group A is ahead at
-    # every share exactly when it is ahead against both groups
+    # every share exactly when it is ahead against both groups by more than TOL
     return DollarReport(maximal_continuation_verified=verified, binding_margin=margin,
-                        match_payoffs=m, K=K, dominance_flag=beats_both(m))
+                        match_payoffs=m, K=K, dominance_flag=bool(np.all(m[0] > m[1] + TOL)))

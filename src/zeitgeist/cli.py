@@ -217,9 +217,9 @@ def cmd_build_investment(args, man):
         ("flags", report.flags, lambda flags: "\n".join(f"warning: {f}" for f in flags)),
         ("reversal", rev.reversal, "fitness reversal between extreme shares: {}"),
         ("play_resident_a",
-         sorted({z.outcomes[0].quadruple for z in rev.states_resident_a}), None),
+         sorted({o.quadruple for o in rev.outcomes_resident_a[0]}), None),
         ("play_resident_b",
-         sorted({z.outcomes[0].quadruple for z in rev.states_resident_b}), None),
+         sorted({o.quadruple for o in rev.outcomes_resident_b[0]}), None),
         ("no_state_bands", [{"lo": lo, "hi": hi} for lo, hi in bands],
          "no state for group-A share in ({lo:.6g}, {hi:.6g})"),
     ], EXIT_OK

@@ -160,8 +160,8 @@ class StageEnv:
         self.situations = tuple(str(g) for g in situations)
         if len(set(self.strategies)) != len(self.strategies):
             raise ValueError("duplicate strategy labels")
-        if len(set(self.situations)) != len(self.situations):
-            raise ValueError("duplicate situation labels")
+        if len(set(self.situations)) != len(self.situations) or not self.situations:
+            raise ValueError("need at least one situation, with distinct labels")
         if len(kernels) != len(self.situations):
             raise ValueError("need exactly one kernel per situation")
         self.kernels = tuple(k if hasattr(k, "row") else DenseKernel(k) for k in kernels)

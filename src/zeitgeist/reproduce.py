@@ -96,8 +96,8 @@ def _check_reversal() -> CheckRow:
     spec = catalog.InvestmentSpec(1.0, 5.5, 12.0)
     env, ma, mb, _ = catalog.build_investment_game(spec)
     res = detect_reversal(env, ma, mb)
-    quads_a = {z.outcomes[0].quadruple for z in res.states_resident_a}
-    quads_b = {z.outcomes[0].quadruple for z in res.states_resident_b}
+    quads_a, quads_b = ({o.quadruple for o in per[0]}
+                        for per in (res.outcomes_resident_a, res.outcomes_resident_b))
     got = (res.reversal, sorted(quads_a), sorted(quads_b))
     ok = (res.reversal and quads_a == {(0, 0, 1, 1)} and quads_b == {(0, 0, 0, 1)})
     return _row("reversal", "enumeration",

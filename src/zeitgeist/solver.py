@@ -316,7 +316,8 @@ def enumerate_situation_ez(env: StageEnv, model_a, model_b, G,
 
 def compose_states(per_situation: list[list[SituationOutcome]],
                    shares: tuple[float, float]) -> list[Zeitgeist]:
-    """States at ``shares``: the product of the situations' outcome lists."""
+    """States at ``shares``: the product of the situations' outcome lists.
+    Share questions never form it; only ``enumerate_ez`` and ``ReversalResult`` do."""
     count = 1
     for lst in per_situation:
         count *= len(lst)

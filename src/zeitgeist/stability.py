@@ -4,7 +4,8 @@ A resident group carrying one model is invaded by a small entrant group
 carrying another.  Classification asks whether the resident's objective
 fitness beats the entrant's across every self-confirming state at every
 invasion size in a list; reversal asks whether conditional-fitness rankings
-at the two extreme share points flip; share cells split group A's share
+at the two extreme share points flip; both read the extreme gaps over all
+states from per-situation extremes; share cells split group A's share
 where the state list can change and report where the resident-minus-entrant
 gap falls through zero; the separation check asks whether the
 symmetric-equilibrium payoff profile of a correctly specified resident can
@@ -15,14 +16,15 @@ dogmatic single-kernel entrant.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .games import (TOL, StageEnv, as_weights, best_reply_mask, slack,
                     symmetric_nash)
-from .solver import (SituationProblem, Zeitgeist, compose_states, match_payoffs,
-                     max_margin, share_blend, situation_payoffs)
+from .solver import (SituationOutcome, SituationProblem, Zeitgeist, compose_states,
+                     match_payoffs, max_margin, share_blend, situation_payoffs)
 
 DEFAULT_EPS_LIST = (0.1, 0.05, 0.01, 0.005, 0.001)
 
@@ -49,15 +51,25 @@ class StabilityVerdict:
         return self.label == "Fragile"
 
 
+def _gap_range(env: StageEnv, per_situation, weights, blend) -> tuple[float, float]:
+    """Least and greatest A-minus-B gap over all states under the share blend
+    ``blend``: the weighted sums of each situation's extreme gaps, as states
+    decouple across situations; nan when a situation has no outcome."""
+    lo = hi = 0.0
+    for gi, quads in enumerate(per_situation):
+        if not len(quads):
+            return np.nan, np.nan
+        fits = share_blend(match_payoffs(env, gi, quads), blend)
+        gaps = fits[:, 0] - fits[:, 1]
+        lo += weights[gi] * gaps.min()
+        hi += weights[gi] * gaps.max()
+    return lo, hi
+
+
 def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
                        eps_list=DEFAULT_EPS_LIST) -> StabilityVerdict:
-    """Resident-minus-entrant fitness range across all states, per invasion size.
-
-    States decouple across situations, so the extreme total gaps are the
-    weighted sums of per-situation extreme gaps; the full product of states
-    is never materialized.  Each situation's quadruples at every invasion
-    size come from one ``quadruples`` call and are scored in one gather.
-    """
+    """Resident-minus-entrant fitness range across all states, per invasion
+    size, read by ``_gap_range`` from one ``quadruples`` call per situation."""
     if not len(eps_list):
         raise ValueError("need at least one invasion size")
     eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
@@ -69,22 +81,9 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
               for G in env.situations]
     evidence = []
     for eps, shares, *per_situation in zip(eps_sorted, share_list, *solved):
-        counts = []
-        lo = hi = 0.0
-        for gi, quads in enumerate(per_situation):
-            counts.append(len(quads))
-            if not len(quads):
-                continue
-            fits = share_blend(match_payoffs(env, gi, quads), shares)
-            gaps = fits[:, 0] - fits[:, 1]
-            lo += weights[gi] * gaps.min()
-            hi += weights[gi] * gaps.max()
-        empty = 0 in counts
-        if empty:
-            lo = hi = np.nan
-        total = int(np.prod(counts)) if counts else 0
-        evidence.append(EpsEvidence(eps, shares, tuple(counts), total,
-                                    empty, lo, hi))
+        counts = tuple(map(len, per_situation))
+        evidence.append(EpsEvidence(eps, shares, counts, math.prod(counts), 0 in counts,
+                                    *_gap_range(env, per_situation, weights, shares)))
 
     if any(e.empty for e in evidence):
         label = "NoEZ"
@@ -99,44 +98,44 @@ def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
 
 @dataclass(frozen=True)
 class ReversalResult:
+    """Reversal flags, and each situation's outcomes at both extremes; states compose on read."""
     reversal: bool
     condition_majority_a: bool
     condition_majority_b: bool
-    states_resident_a: tuple[Zeitgeist, ...]
-    states_resident_b: tuple[Zeitgeist, ...]
+    outcomes_resident_a: tuple[tuple[SituationOutcome, ...], ...]
+    outcomes_resident_b: tuple[tuple[SituationOutcome, ...], ...]
     mixture_supported_present: bool
 
+    @property
+    def states_resident_a(self) -> tuple[Zeitgeist, ...]:
+        return tuple(compose_states(self.outcomes_resident_a, (1.0, 0.0)))
 
-def beats_both(m: np.ndarray) -> bool:
-    """Group A beats group B against both groups by more than ``TOL`` in
-    match payoffs ``m``."""
-    return bool(np.all(m[0] > m[1] + TOL))
+    @property
+    def states_resident_b(self) -> tuple[Zeitgeist, ...]:
+        return tuple(compose_states(self.outcomes_resident_b, (0.0, 1.0)))
 
 
 def detect_reversal(env: StageEnv, model_a, model_b) -> ReversalResult:
     """Conditional-fitness reversal between the two extreme share points.
 
     With group A as the whole population, A must beat B conditional on both
-    opponent groups in every state; with group B as the whole population, B
-    must have the higher total fitness in every state.  Situations are
-    weighted equally, as in ``fitness``; each is solved once, at both shares.
-    """
+    opponent groups in every state: the least gap under each blend e_h,
+    m[0, h] - m[1, h], exceeds ``TOL``; with group B as the whole
+    population, B must have the higher total fitness in every state.  The
+    gaps are ``_gap_range``'s, with situations weighted equally as in
+    ``fitness``; each situation is solved once, at both shares."""
     weights = as_weights(None, env.n_situations)
     extremes = [(1.0, 0.0), (0.0, 1.0)]
     solved = [SituationProblem(env, model_a, model_b, G).solve_many(extremes)
               for G in env.situations]
-    states_a, states_b = (tuple(compose_states(per_situation, shares))
-                          for shares, per_situation in zip(extremes, zip(*solved)))
-
-    m_a = [situation_payoffs(env, [o.quadruple for o in z.outcomes], weights) for z in states_a]
-    f_b = [share_blend(situation_payoffs(env, [o.quadruple for o in z.outcomes], weights), z.shares)
-           for z in states_b]
-    cond_a = bool(m_a) and all(beats_both(m) for m in m_a)
-    cond_b = bool(f_b) and all(f[1] > f[0] + TOL for f in f_b)
-
-    mixture = any(z.mixture_supported for z in states_a + states_b)
-    return ReversalResult(cond_a and cond_b, cond_a, cond_b,
-                          states_a, states_b, mixture)
+    at_a, at_b = (tuple(map(tuple, per)) for per in zip(*solved))
+    quads_a, quads_b = ([[o.quadruple for o in outs] for outs in per] for per in (at_a, at_b))
+    cond_a = all(_gap_range(env, quads_a, weights, blend)[0] > TOL for blend in extremes)
+    cond_b = bool(_gap_range(env, quads_b, weights, extremes[1])[1] < -TOL)
+    # a state exists only where every situation has an outcome
+    mixture = any(all(per) and any(o.mixture_supported for outs in per for o in outs)
+                  for per in (at_a, at_b))
+    return ReversalResult(cond_a and cond_b, cond_a, cond_b, at_a, at_b, mixture)
 
 
 @dataclass(frozen=True)

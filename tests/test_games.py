@@ -7,6 +7,7 @@ import pytest
 
 import zeitgeist
 from conftest import coordination_env, decision_env, mismatch_env, tie_env
+from zeitgeist.config import ConfigError, env_from_dict
 from zeitgeist.games import (
     DenseKernel,
     MonitoringStructure,
@@ -132,6 +133,16 @@ class TestStageEnv:
             StageEnv(["a", "a"], ["c"], ["G"], [t], np.array([1.0]))
         with pytest.raises(ValueError):
             StageEnv(["a", "b"], ["c"], ["G", "G"], [t, t], np.array([1.0]))
+
+    def test_no_situations_rejected(self):
+        # an empty environment once passed and died later in as_weights
+        base = coordination_env()
+        with pytest.raises(ValueError, match="at least one situation"):
+            StageEnv(base.strategies, base.consequences, [], [], base.utility)
+        doc = {"strategies": ["s0", "s1"], "consequences": ["c0"], "situations": [],
+               "kernels": [], "utility": [1.0]}
+        with pytest.raises(ConfigError, match="at least one situation"):
+            env_from_dict(doc)
 
     def test_kernel_count_must_match_situations(self):
         t = np.zeros((2, 2, 1))

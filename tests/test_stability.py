@@ -87,6 +87,15 @@ def test_classify_reports_no_ez():
     assert np.isnan(ev.min_gap) and np.isnan(ev.max_gap)
 
 
+def test_classify_counts_composed_states_without_wrapping():
+    # 8 outcomes in each of 22 copied situations: 8^22 states, past int64
+    env = _copies(coordination_env(), 22)
+    model = minimal_correct_model(env)
+    ev, = classify_stability(env, model, model, eps_list=(0.1,)).evidence
+    assert ev.counts == (8,) * 22
+    assert ev.ez_count == 8 ** 22
+
+
 def test_classify_commitment_illusion_is_fragile():
     env = catalog.build_two_situation_game()
     verdict = classify_stability(env, minimal_correct_model(env),
@@ -120,7 +129,14 @@ def test_reversal_flags_are_python_bools():
 
 
 def _outcome_bytes(o):
-    return o.quadruple, o.belief_a.tobytes(), o.belief_b.tobytes()
+    return o.quadruple, o.belief_a.tobytes(), o.belief_b.tobytes(), o.minimizers_a, o.minimizers_b
+
+
+def _copies(env, k):
+    # k equally weighted copies of the environment's situations
+    return StageEnv(env.strategies, env.consequences,
+                    [f"{G} copy {c}" for c in range(k) for G in env.situations],
+                    env.kernels * k, env.utility, env.monitoring)
 
 
 def test_reversal_with_a_duplicated_situation_matches_the_original():
@@ -128,9 +144,8 @@ def test_reversal_with_a_duplicated_situation_matches_the_original():
     # give its flags, and its states in each copy
     spec = catalog.InvestmentSpec(1.0, 5.5, 12.0)
     env, model_a, model_b, _ = catalog.build_investment_game(spec)
-    twice = StageEnv(env.strategies, env.consequences, ("G", "G copy"), env.kernels * 2,
-                     env.utility, env.monitoring)
-    one, two = detect_reversal(env, model_a, model_b), detect_reversal(twice, model_a, model_b)
+    one = detect_reversal(env, model_a, model_b)
+    two = detect_reversal(_copies(env, 2), model_a, model_b)
     assert two.reversal
     for field in ("reversal", "condition_majority_a", "condition_majority_b",
                   "mixture_supported_present"):
@@ -142,35 +157,84 @@ def test_reversal_with_a_duplicated_situation_matches_the_original():
             for a in want for b in want]
 
 
-def test_reversal_over_two_situations_matches_a_reference():
-    # reference: each situation's outcome list composed in order, and both
-    # conditions read from the equally weighted sum of match payoffs; at
-    # p_B = 1, B's total fitness is its payoff against B.  The illusion
-    # entrants have no state at p_B = 1, the correct ones have 8.
+def _reversal_pool():
+    """(label, env, model A, model B): the commitment game against both
+    entrants, the investment game once and copied twice, and 200 seeded
+    random draws of 2-3 strategies and 2-3 situations."""
     env = catalog.build_two_situation_game()
     correct = minimal_correct_model(env)
-    compared = 0
-    for model_b in (illusion_of_control_model(env), correct):
-        res = detect_reversal(env, correct, model_b)
+    yield "commitment illusion", env, correct, illusion_of_control_model(env)
+    yield "commitment correct", env, correct, correct
+    spec = catalog.InvestmentSpec(1.0, 5.5, 12.0)
+    invest, model_a, model_b, _ = catalog.build_investment_game(spec)
+    yield "investment", invest, model_a, model_b
+    yield "investment twice", _copies(invest, 2), model_a, model_b
+    rng = np.random.default_rng(2024)
+    for draw in range(200):
+        env = random_env(rng, n_strategies=int(rng.integers(2, 4)),
+                         n_situations=int(rng.integers(2, 4)))
+        model_a = random_model(rng, env, int(rng.integers(2, 6)), "a")
+        yield draw, env, model_a, random_model(rng, env, int(rng.integers(2, 6)), "b")
+
+
+def test_reversal_over_two_situations_matches_a_reference():
+    # reference: each situation's outcome list composed in order, and both
+    # conditions read from the equally weighted sum of match payoffs of
+    # every composed state; at p_B = 1, B's total fitness is its payoff
+    # against B.  A mixture counts only inside a composed state.  The
+    # commitment game's illusion entrants have no state at p_B = 1, the
+    # correct ones have 8.
+    seen = {field: set() for field in ("reversal", "condition_majority_a",
+                                       "condition_majority_b", "mixture_supported_present")}
+    counts = {}
+    for label, env, model_a, model_b in _reversal_pool():
+        res = detect_reversal(env, model_a, model_b)
+        w = 1.0 / env.n_situations
         want = {}
         for shares in ((1.0, 0.0), (0.0, 1.0)):
-            per = [solver.enumerate_situation_ez(env, correct, model_b, G, shares)
+            per = [solver.enumerate_situation_ez(env, model_a, model_b, G, shares)
                    for G in env.situations]
-            want[shares] = [(combo, sum(0.5 * solver.match_payoffs(env, gi, o.quadruple)
+            want[shares] = [(combo, sum(w * solver.match_payoffs(env, gi, o.quadruple)
                                         for gi, o in enumerate(combo)))
                             for combo in itertools.product(*per)]
         cond_a = bool(want[1.0, 0.0]) and all(np.all(m[0] > m[1] + TOL)
                                                for _, m in want[1.0, 0.0])
         cond_b = bool(want[0.0, 1.0]) and all(m[1, 1] > m[0, 1] + TOL
                                                for _, m in want[0.0, 1.0])
-        assert (res.condition_majority_a, res.condition_majority_b) == (cond_a, cond_b)
-        assert res.reversal == (cond_a and cond_b)
-        for got, shares in ((res.states_resident_a, (1.0, 0.0)),
-                            (res.states_resident_b, (0.0, 1.0))):
-            assert [[_outcome_bytes(o) for o in z.outcomes] for z in got] == [
-                [_outcome_bytes(o) for o in combo] for combo, _ in want[shares]]
-            compared += len(got)
-    assert compared == 2 + 8 + 8
+        mixture = any(o.mixture_supported for combos in want.values()
+                      for combo, _ in combos for o in combo)
+        got = {field: getattr(res, field) for field in seen}
+        assert got == {"reversal": cond_a and cond_b, "condition_majority_a": cond_a,
+                       "condition_majority_b": cond_b,
+                       "mixture_supported_present": mixture}, label
+        for field, value in got.items():
+            seen[field].add(value)
+        for states, shares in ((res.states_resident_a, (1.0, 0.0)),
+                               (res.states_resident_b, (0.0, 1.0))):
+            assert all(z.shares == shares for z in states)
+            assert [[_outcome_bytes(o) for o in z.outcomes] for z in states] == [
+                [_outcome_bytes(o) for o in combo] for combo, _ in want[shares]], label
+        counts[label] = (len(res.states_resident_a), len(res.states_resident_b))
+        if label == 92:
+            # one situation has no outcome, another a mixture-supported one
+            outcomes = res.outcomes_resident_a + res.outcomes_resident_b
+            assert () in outcomes and any(o.mixture_supported for outs in outcomes for o in outs)
+            assert not res.mixture_supported_present
+    assert all(values == {False, True} for values in seen.values()), seen
+    assert (counts["commitment illusion"], counts["commitment correct"]) == ((2, 0), (8, 8))
+
+
+def test_reversal_does_not_compose_copied_situations():
+    # six copies of one situation with 8 outcomes each would compose 8^6
+    # states; per-situation extremes give the one-copy flags
+    coord = coordination_env()
+    model = minimal_correct_model(coord)
+    one = detect_reversal(coord, model, model)
+    six = detect_reversal(_copies(coord, 6), model, model)
+    assert [len(outs) for outs in six.outcomes_resident_a] == [8] * 6
+    for field in ("reversal", "condition_majority_a", "condition_majority_b",
+                  "mixture_supported_present"):
+        assert getattr(six, field) == getattr(one, field), field
 
 
 def test_no_reversal_between_identical_models():
