@@ -509,10 +509,6 @@ _SITUATION_2 = np.array([
 ])
 
 
-def two_situation_tables() -> tuple[np.ndarray, np.ndarray]:
-    return _SITUATION_1.copy(), _SITUATION_2.copy()
-
-
 def build_two_situation_game() -> StageEnv:
     """Three strategies, success/failure consequences, two situations.
 

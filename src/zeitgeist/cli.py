@@ -10,9 +10,9 @@ document it mirrors, so the two cannot disagree.  Under ``--out`` both are
 written next to any configs the command saved, and a ``manifest.yaml``
 records the run, listing each output exactly once.
 
-Exit codes: 0 success, 1 usage or config error (an invalid ``--window`` or
-``--every`` is caught before any work is done), 2 legal-but-empty result
-(a solve that finds no self-confirming state, or a zero-horizon run).
+Exit codes: 0 success, 1 usage or config error (an invalid ``--window``,
+``--every`` or ``--q`` is caught before any work is done), 2 legal-but-empty
+result (a solve that finds no self-confirming state, or a zero-horizon run).
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ import yaml
 from . import __version__, catalog
 from .config import ConfigError, load_env, load_model, load_sim, \
     save_env, save_model
-from .games import stackelberg, symmetric_nash
+from .games import as_weights, stackelberg, symmetric_nash
 from .learning import compare_to_ez, run_learning
 from .models import check_identifiability
 from .reproduce import render_table, rows_to_dicts, run_all
 from .solver import enumerate_ez, render_summaries, zeitgeist_summary
-from .stability import DEFAULT_EPS_LIST, affine_stable_shares, classify_stability, \
-    detect_reversal, singleton_fragility_check, stable_shares
+from .stability import DEFAULT_EPS_LIST, SharePair, affine_stable_shares, \
+    classify_stability, singleton_fragility_check
 
 EXIT_OK, EXIT_ERROR, EXIT_EMPTY = 0, 1, 2
 
@@ -128,7 +128,7 @@ def _load_configs(args):
 def cmd_solve_ez(args, man):
     env, model_a, model_b = _load_configs(args)
     shares = _floats(args.shares, "--shares", 2)
-    q = _floats(args.q, "--q") if args.q else None
+    q = as_weights(_floats(args.q, "--q"), env.n_situations) if args.q else None
     states = enumerate_ez(env, model_a, model_b, shares)
     return "ez", [
         ("shares", shares, None),
@@ -205,8 +205,8 @@ def cmd_build_investment(args, man):
     save_env(env, man.path_for("env.yaml"))
     save_model(model_a, man.path_for("model_a.yaml"))
     save_model(model_b, man.path_for("model_b.yaml"))
-    rev = detect_reversal(env, model_a, model_b)
-    bands = stable_shares(env, model_a, model_b).no_state_bands
+    pair = SharePair(env, model_a, model_b)
+    rev = pair.reversal()
     return "report", [
         ("spec", vars(spec), None),
         ("b_star", {"s11": report.b_star_11, "s12": report.b_star_12,
@@ -220,7 +220,7 @@ def cmd_build_investment(args, man):
          sorted({o.quadruple for o in rev.outcomes_resident_a[0]}), None),
         ("play_resident_b",
          sorted({o.quadruple for o in rev.outcomes_resident_b[0]}), None),
-        ("no_state_bands", [{"lo": lo, "hi": hi} for lo, hi in bands],
+        ("no_state_bands", [{"lo": lo, "hi": hi} for lo, hi in pair.cells().no_state_bands],
          "no state for group-A share in ({lo:.6g}, {hi:.6g})"),
     ], EXIT_OK
 

@@ -124,9 +124,6 @@ class MonitoringStructure:
         rows = tau * np.eye(n) + (1.0 - tau) / n
         return MonitoringStructure(tuple(strategies), rows)
 
-    def row(self, j: int) -> np.ndarray:
-        return self.rows[j]
-
     def is_perfect(self, tol: float = 0.0) -> bool:
         n = self.rows.shape[0]
         return self.rows.shape[1] == n and bool(np.max(np.abs(self.rows - np.eye(n))) <= tol)
@@ -231,16 +228,6 @@ def _followers(U: np.ndarray) -> np.ndarray:
     mine = np.where(replies, U, np.inf)
     worst = mine.min(axis=1) + slack(np.where(replies, np.abs(U), 0.0).max(axis=1))
     return np.argmax(replies & (mine <= worst[:, None]), axis=1)
-
-
-def min_tiebreak_best_response(env: StageEnv, G, a_i) -> str:
-    """Opponent best reply to ``a_i`` that is worst for the ``a_i`` player.
-
-    Among the opponent's best replies, picks the one minimizing the payoff of
-    the agent playing ``a_i``; remaining ties break to the lowest strategy index.
-    """
-    follower = _followers(env.payoff_matrix(G))[env.strategy_index(a_i)]
-    return env.strategies[int(follower)]
 
 
 @dataclass(frozen=True)

@@ -463,8 +463,11 @@ def verify_ez(z: Zeitgeist, env: StageEnv, model_a,
     Recomputes minimizer sets from scratch, confirms each belief is a
     distribution supported on them, and confirms all four directed actions
     are subjectively optimal.  Returns the verdict plus a per-group
-    certificate with the binding slacks.
+    certificate with the binding slacks.  A state must hold one outcome per
+    situation, in the environment's order.
     """
+    if tuple(o.situation for o in z.outcomes) != env.situations:
+        raise ValueError("a state needs one outcome per situation, in order")
     _require_compatible(env, model_a, "A")
     _require_compatible(env, model_b, "B")
     checks = []

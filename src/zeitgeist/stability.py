@@ -1,16 +1,16 @@
 """Evolutionary comparisons between two models of the same environment.
 
 A resident group carrying one model is invaded by a small entrant group
-carrying another.  Classification asks whether the resident's objective
-fitness beats the entrant's across every self-confirming state at every
-invasion size in a list; reversal asks whether conditional-fitness rankings
-at the two extreme share points flip; both read the extreme gaps over all
-states from per-situation extremes; share cells split group A's share
-where the state list can change and report where the resident-minus-entrant
-gap falls through zero; the separation check asks whether the
-symmetric-equilibrium payoff profile of a correctly specified resident can
-be strictly protected, by some weighting of situations, against every
-dogmatic single-kernel entrant.
+carrying another.  A ``SharePair`` builds each situation's problem once and
+answers three questions from it.  Classification asks whether the
+resident's objective fitness beats the entrant's across every
+self-confirming state at every invasion size in a list; reversal asks
+whether conditional-fitness rankings at the two extreme shares flip; both
+read the extreme gaps from per-situation extremes.  Share cells split group
+A's share where the state list can change and find where the gap falls
+through zero.  The separation check asks whether a correct resident's
+symmetric-equilibrium payoffs can be strictly protected, by some weighting
+of situations, against every dogmatic single-kernel entrant.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,10 +47,6 @@ class StabilityVerdict:
     evidence: tuple[EpsEvidence, ...]
     q: np.ndarray
 
-    @property
-    def is_fragile(self) -> bool:
-        return self.label == "Fragile"
-
 
 def _gap_range(env: StageEnv, per_situation, weights, blend) -> tuple[float, float]:
     """Least and greatest A-minus-B gap over all states under the share blend
@@ -64,36 +61,6 @@ def _gap_range(env: StageEnv, per_situation, weights, blend) -> tuple[float, flo
         lo += weights[gi] * gaps.min()
         hi += weights[gi] * gaps.max()
     return lo, hi
-
-
-def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
-                       eps_list=DEFAULT_EPS_LIST) -> StabilityVerdict:
-    """Resident-minus-entrant fitness range across all states, per invasion
-    size, read by ``_gap_range`` from one ``quadruples`` call per situation."""
-    if not len(eps_list):
-        raise ValueError("need at least one invasion size")
-    eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
-    if not all(0.0 < eps < 1.0 for eps in eps_sorted):
-        raise ValueError("invasion sizes must lie strictly between 0 and 1")
-    weights = as_weights(q, env.n_situations)
-    share_list = [(1.0 - eps, eps) for eps in eps_sorted]
-    solved = [SituationProblem(env, model_resident, model_entrant, G).quadruples(share_list)
-              for G in env.situations]
-    evidence = []
-    for eps, shares, *per_situation in zip(eps_sorted, share_list, *solved):
-        counts = tuple(map(len, per_situation))
-        evidence.append(EpsEvidence(eps, shares, counts, math.prod(counts), 0 in counts,
-                                    *_gap_range(env, per_situation, weights, shares)))
-
-    if any(e.empty for e in evidence):
-        label = "NoEZ"
-    elif all(e.min_gap >= -TOL for e in evidence):
-        label = "Stable"
-    elif all(e.max_gap < -TOL for e in evidence):
-        label = "Fragile"
-    else:
-        label = "Ambiguous"
-    return StabilityVerdict(label, tuple(evidence), weights)
 
 
 @dataclass(frozen=True)
@@ -113,29 +80,6 @@ class ReversalResult:
     @property
     def states_resident_b(self) -> tuple[Zeitgeist, ...]:
         return tuple(compose_states(self.outcomes_resident_b, (0.0, 1.0)))
-
-
-def detect_reversal(env: StageEnv, model_a, model_b) -> ReversalResult:
-    """Conditional-fitness reversal between the two extreme share points.
-
-    With group A as the whole population, A must beat B conditional on both
-    opponent groups in every state: the least gap under each blend e_h,
-    m[0, h] - m[1, h], exceeds ``TOL``; with group B as the whole
-    population, B must have the higher total fitness in every state.  The
-    gaps are ``_gap_range``'s, with situations weighted equally as in
-    ``fitness``; each situation is solved once, at both shares."""
-    weights = as_weights(None, env.n_situations)
-    extremes = [(1.0, 0.0), (0.0, 1.0)]
-    solved = [SituationProblem(env, model_a, model_b, G).solve_many(extremes)
-              for G in env.situations]
-    at_a, at_b = (tuple(map(tuple, per)) for per in zip(*solved))
-    quads_a, quads_b = ([[o.quadruple for o in outs] for outs in per] for per in (at_a, at_b))
-    cond_a = all(_gap_range(env, quads_a, weights, blend)[0] > TOL for blend in extremes)
-    cond_b = bool(_gap_range(env, quads_b, weights, extremes[1])[1] < -TOL)
-    # a state exists only where every situation has an outcome
-    mixture = any(all(per) and any(o.mixture_supported for outs in per for o in outs)
-                  for per in (at_a, at_b))
-    return ReversalResult(cond_a and cond_b, cond_a, cond_b, at_a, at_b, mixture)
 
 
 @dataclass(frozen=True)
@@ -215,25 +159,98 @@ def share_cell_ends(problems: list[SituationProblem]) -> tuple[float, ...]:
     return (*ends, 1.0, 1.0)
 
 
-def stable_shares(env: StageEnv, model_a, model_b, q=None) -> StableSharesResult:
-    """Share cells of two finite models and the thresholds of the first
-    state's gap in enumeration order.
+@dataclass(frozen=True)
+class SharePair:
+    """Two models of one environment, each situation's problem built once for every question."""
+    env: StageEnv
+    model_a: object
+    model_b: object
 
-    Each group's objective is affine in the shares and its best-reply
-    tables do not depend on them, so the state list can change only at a
-    cell end (``share_cell_ends``).  Each cell is solved at its midpoint,
-    all in one ``quadruples`` call per situation.  A cell's line is the
-    ``situation_payoffs`` sum of its first state's match payoffs: each
-    situation's first quadruple, so the product of outcomes is never formed."""
-    weights = as_weights(q, env.n_situations)
-    problems = [SituationProblem(env, model_a, model_b, G) for G in env.situations]
-    ends = share_cell_ends(problems)
-    solved = [problem.quadruples([(p, 1.0 - p) for p in np.add(ends[:-1], ends[1:]) / 2.0])
-              for problem in problems]
-    live = [c for c, per_situation in enumerate(zip(*solved)) if all(map(len, per_situation))]
-    m = situation_payoffs(env, [[per_share[c][0] for c in live] for per_share in solved], weights)
-    lines = dict(zip(live, map(_gap_line, m)))
-    return _scan_cells(ends, [lines.get(c) for c in range(len(ends) - 1)])
+    @cached_property
+    def problems(self) -> list[SituationProblem]:
+        return [SituationProblem(self.env, self.model_a, self.model_b, G)
+                for G in self.env.situations]
+
+    def classify(self, q=None, eps_list=DEFAULT_EPS_LIST) -> StabilityVerdict:
+        """Resident-minus-entrant fitness range across all states, per invasion
+        size, read by ``_gap_range`` from one ``quadruples`` call per situation."""
+        if not len(eps_list):
+            raise ValueError("need at least one invasion size")
+        eps_sorted = sorted((float(e) for e in eps_list), reverse=True)
+        if not all(0.0 < eps < 1.0 for eps in eps_sorted):
+            raise ValueError("invasion sizes must lie strictly between 0 and 1")
+        weights = as_weights(q, self.env.n_situations)
+        share_list = [(1.0 - eps, eps) for eps in eps_sorted]
+        solved = [problem.quadruples(share_list) for problem in self.problems]
+        evidence = []
+        for eps, shares, *per_situation in zip(eps_sorted, share_list, *solved):
+            counts = tuple(map(len, per_situation))
+            evidence.append(EpsEvidence(eps, shares, counts, math.prod(counts), 0 in counts,
+                                        *_gap_range(self.env, per_situation, weights, shares)))
+
+        if any(e.empty for e in evidence):
+            label = "NoEZ"
+        elif all(e.min_gap >= -TOL for e in evidence):
+            label = "Stable"
+        elif all(e.max_gap < -TOL for e in evidence):
+            label = "Fragile"
+        else:
+            label = "Ambiguous"
+        return StabilityVerdict(label, tuple(evidence), weights)
+
+    def reversal(self) -> ReversalResult:
+        """Conditional-fitness reversal between the two extreme share points.
+
+        With group A as the whole population, A must beat B conditional on both
+        opponent groups in every state: the least gap under each blend e_h,
+        m[0, h] - m[1, h], exceeds ``TOL``; with group B as the whole
+        population, B must have the higher total fitness in every state.  The
+        gaps are ``_gap_range``'s, with situations weighted equally as in
+        ``fitness``; each situation is solved once, at both shares."""
+        weights = as_weights(None, self.env.n_situations)
+        extremes = [(1.0, 0.0), (0.0, 1.0)]
+        solved = [problem.solve_many(extremes) for problem in self.problems]
+        at_a, at_b = (tuple(map(tuple, per)) for per in zip(*solved))
+        quads_a, quads_b = ([[o.quadruple for o in outs] for outs in per] for per in (at_a, at_b))
+        cond_a = all(_gap_range(self.env, quads_a, weights, blend)[0] > TOL for blend in extremes)
+        cond_b = bool(_gap_range(self.env, quads_b, weights, extremes[1])[1] < -TOL)
+        # a state exists only where every situation has an outcome
+        mixture = any(all(per) and any(o.mixture_supported for outs in per for o in outs)
+                      for per in (at_a, at_b))
+        return ReversalResult(cond_a and cond_b, cond_a, cond_b, at_a, at_b, mixture)
+
+    def cells(self, q=None) -> StableSharesResult:
+        """Share cells of two finite models and the thresholds of the first
+        state's gap in enumeration order.
+
+        Each group's objective is affine in the shares and its best-reply
+        tables do not depend on them, so the state list can change only at a
+        cell end (``share_cell_ends``).  Each cell is solved at its midpoint,
+        all in one ``quadruples`` call per situation.  A cell's line is the
+        ``situation_payoffs`` sum of its first state's match payoffs: each
+        situation's first quadruple, so the product of outcomes is never formed."""
+        weights = as_weights(q, self.env.n_situations)
+        ends = share_cell_ends(self.problems)
+        solved = [problem.quadruples([(p, 1.0 - p) for p in np.add(ends[:-1], ends[1:]) / 2.0])
+                  for problem in self.problems]
+        live = [c for c, per_situation in enumerate(zip(*solved)) if all(map(len, per_situation))]
+        m = situation_payoffs(self.env, [[per_share[c][0] for c in live] for per_share in solved],
+                              weights)
+        lines = dict(zip(live, map(_gap_line, m)))
+        return _scan_cells(ends, [lines.get(c) for c in range(len(ends) - 1)])
+
+
+def classify_stability(env: StageEnv, model_resident, model_entrant, q=None,
+                       eps_list=DEFAULT_EPS_LIST) -> StabilityVerdict:
+    return SharePair(env, model_resident, model_entrant).classify(q, eps_list)
+
+
+def detect_reversal(env: StageEnv, model_a, model_b) -> ReversalResult:
+    return SharePair(env, model_a, model_b).reversal()
+
+
+def stable_shares(env: StageEnv, model_a, model_b, q=None) -> StableSharesResult:
+    return SharePair(env, model_a, model_b).cells(q)
 
 
 @dataclass(frozen=True)

@@ -215,13 +215,6 @@ def test_two_situation_equilibria_and_commitment():
     assert ident.situation_id and ident.stackelberg_id
 
 
-def test_two_situation_tables_are_copies():
-    t1, t2 = catalog.two_situation_tables()
-    t1[0, 0] = 99.0
-    u1, _ = catalog.two_situation_tables()
-    assert u1[0, 0] != 99.0
-
-
 def test_stopping_spec_validation():
     with pytest.raises(ValueError):
         catalog.CentipedeSpec(9, 1.0, 2.0)

@@ -103,6 +103,21 @@ def test_solve_ez_without_states_exits_two(tmp_path, capsys):
         assert yaml.safe_load(fh)["states"] == []
 
 
+@pytest.mark.parametrize("q", ["0.3", "nan", "2,-1"])
+def test_solve_ez_checks_weights_before_solving(tmp_path, capsys, monkeypatch, q):
+    # bad situation weights are an input error even where no state exists,
+    # and are refused before the enumeration starts
+    solves = []
+    solve = cli.enumerate_ez
+    monkeypatch.setattr(cli, "enumerate_ez", lambda *args: solves.append(args) or solve(*args))
+    env_path, model_path = _save_pair(mismatch_env(), tmp_path)
+    rc = cli.main(["solve-ez", "--env", env_path, "--model-a", model_path,
+                   "--model-b", model_path, "--q", q, "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "situation weights" in capsys.readouterr().err
+    assert solves == []
+
+
 def test_each_output_file_belongs_to_one_manifest(tmp_path):
     env_path, model_path = _save_pair(coordination_env(), tmp_path)
     outs = [tmp_path / "run1", tmp_path / "run2"]
@@ -254,7 +269,7 @@ def test_reproduce_subset(capsys):
 def test_reproduce_table_catches_a_broken_fixture():
     # the second situation made a shifted copy of the first: commitment no
     # longer pays anywhere, so only the rows reading that fixture fail
-    s1, _ = catalog.two_situation_tables()
+    s1 = catalog.build_two_situation_game().kernels[0].table[:, :, 0]
     kernels = [np.stack([t, 1.0 - t], axis=2) for t in (s1, s1 + 0.05)]
     broken = StageEnv(["a1", "a2", "a3"], ["success", "failure"], ["G1", "G2"],
                       kernels, np.array([1.0, 0.0]))

@@ -12,10 +12,10 @@ from zeitgeist.games import (
     DenseKernel,
     MonitoringStructure,
     StageEnv,
+    _followers,
     as_weights,
     best_reply_mask,
     best_response_indices,
-    min_tiebreak_best_response,
     stackelberg,
     symmetric_nash,
     tie_tolerance,
@@ -112,13 +112,13 @@ class TestMonitoring:
     def test_perfect(self):
         m = MonitoringStructure.perfect(["a", "b", "c"])
         assert m.is_perfect()
-        assert np.array_equal(m.row(1), [0.0, 1.0, 0.0])
+        assert np.array_equal(m.rows[1], [0.0, 1.0, 0.0])
 
     def test_noisy(self):
         m = MonitoringStructure.noisy(["a", "b"], tau=0.9)
         assert not m.is_perfect()
-        assert np.allclose(m.row(0), [0.95, 0.05])
-        assert np.allclose(m.row(1), [0.05, 0.95])
+        assert np.allclose(m.rows[0], [0.95, 0.05])
+        assert np.allclose(m.rows[1], [0.05, 0.95])
 
     def test_rows_must_be_distributions(self):
         with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ def test_min_tiebreak_best_response_breaks_against_leader():
                    np.array([[1.0, 1.0], [5.0, 0.0]]))
     # replying to x: both of the follower's options pay the follower 1 or 5
     # depending on role; against commitment to y the follower is indifferent
-    assert min_tiebreak_best_response(env, "G", "y") in ("x", "y")
+    assert _followers(env.payoff_matrix("G"))[env.strategy_index("y")] in (0, 1)
 
 
 def test_symmetric_nash_exists_and_picks_best():
@@ -243,13 +243,14 @@ def test_stackelberg_adversarial_ties():
                       n_situations=int(rng.integers(1, 4)), jitter=(k % 2) * 1e-12)
         for G in env.situations:
             U = env.payoff_matrix(G)
+            pessimistic = _followers(U)
             followers = []
             for i in range(env.n_strategies):
                 replies = best_response_indices(env, G, i)
                 mine = U[i, replies]
                 followers.append(int(replies[np.flatnonzero(
                     mine <= mine.min() + tie_tolerance(mine))[0]]))
-                assert min_tiebreak_best_response(env, G, i) == env.strategies[followers[-1]]
+                assert pessimistic[i] == followers[-1]
             values = np.array([U[i, f] for i, f in enumerate(followers)])
             lead = int(np.flatnonzero(best_reply_mask(values))[0])
             res = stackelberg(env, G)

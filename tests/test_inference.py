@@ -165,7 +165,7 @@ def _objective_by_parameter(model, ctx, env) -> np.ndarray:
             else:
                 term = kl_divergence(truth.row(i, j), param.kernel.row(i, conj))
                 if not np.isinf(term):
-                    term += kl_divergence(env.monitoring.row(j), env.monitoring.row(conj))
+                    term += kl_divergence(env.monitoring.rows[j], env.monitoring.rows[conj])
             if np.isinf(term):   # 0 * inf = inf
                 total = math.inf
                 break

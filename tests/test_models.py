@@ -61,7 +61,7 @@ def test_singleton_model_checks_dimensions():
 
 
 def test_illusion_of_control_bakes_replies_into_fundamentals():
-    from zeitgeist.games import min_tiebreak_best_response
+    from zeitgeist.games import _followers
     env = catalog.build_two_situation_game()
     eps = 1e-3
     warped = illusion_of_control_model(env, perturb_eps=eps)
@@ -72,9 +72,9 @@ def test_illusion_of_control_bakes_replies_into_fundamentals():
         k = warped.kernels[gi]
         # opponent-independent: every opponent column holds the same row
         assert np.array_equal(k.table, np.broadcast_to(k.table[:, :1], k.table.shape))
+        replies = _followers(env.payoff_matrix(G))
         for a in range(env.n_strategies):
-            reply = env.strategy_index(min_tiebreak_best_response(env, G, a))
-            want = (1 - eps) * env.kernel(G).row(a, reply) + eps / ny
+            want = (1 - eps) * env.kernel(G).row(a, replies[a]) + eps / ny
             assert np.allclose(k.row(a, 0), want, atol=1e-15)
         assert np.allclose(k.table.sum(axis=2), 1.0, atol=1e-12)
 

@@ -51,7 +51,7 @@ def test_dogmatic_entrants_never_destabilize_a_separated_correct_resident():
                                        for _ in range(3)]
         for k in kernels:
             verdict = classify_stability(env, resident, singleton_model(env, k), q=q)
-            assert not verdict.is_fragile, (drawn, [e.max_gap for e in verdict.evidence])
+            assert verdict.label != "Fragile", (drawn, [e.max_gap for e in verdict.evidence])
             labels[verdict.label] += 1
     print(f"{drawn} environments drawn, {checked} with a symmetric pure equilibrium "
           f"in every situation, {KEPT} separable: {dict(sorted(labels.items()))}")

@@ -58,6 +58,18 @@ def test_coordination_truth_models_reproduce_equilibria():
         assert ok, cert.failures()
 
 
+def test_verify_ez_rejects_states_that_skip_situations():
+    # a state holds one outcome per situation, in the environment's order;
+    # an empty state or one that drops G2 must not be certified
+    env = catalog.build_two_situation_game()
+    model = minimal_correct_model(env)
+    z = enumerate_ez(env, model, model, (0.5, 0.5))[0]
+    assert verify_ez(z, env, model, model)[0]
+    for outcomes in ((), z.outcomes[:1], z.outcomes[::-1]):
+        with pytest.raises(ValueError, match="one outcome per situation"):
+            verify_ez(Zeitgeist(z.shares, outcomes), env, model, model)
+
+
 def test_no_state_is_legal():
     env = mismatch_env()
     model = minimal_correct_model(env)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import (coordination_env, decision_env, mismatch_env, random_env,
                       random_model, tie_env)
-from zeitgeist import catalog, inference, solver, stability
+from zeitgeist import catalog, cli, inference, solver, stability
 from zeitgeist.games import TOL, StageEnv, best_response_indices, slack, symmetric_nash
 from zeitgeist.inference import kl_profile_tables
 from zeitgeist.models import illusion_of_control_model, minimal_correct_model
@@ -29,7 +30,7 @@ def test_classify_same_model_never_fragile():
     model = minimal_correct_model(env)
     verdict = classify_stability(env, model, model)
     assert verdict.label == "Ambiguous"
-    assert not verdict.is_fragile
+    assert verdict.label != "Fragile"
     for ev in verdict.evidence:
         assert ev.max_gap == pytest.approx(-ev.min_gap, abs=1e-12)
     # evidence is reported from the largest invasion down
@@ -351,6 +352,66 @@ def _scan_pairs():
     env_i, ia, ib, _ = catalog.build_investment_game(catalog.InvestmentSpec(1.0, 5.5, 12.0))
     return [(env_c, minimal_correct_model(env_c), illusion_of_control_model(env_c)),
             (env_i, ia, ib)]
+
+
+def _counted_builds(monkeypatch) -> list:
+    """The ``SituationProblem`` builds ``stability`` makes from here on."""
+    builds = []
+    build = stability.SituationProblem
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "SituationProblem", counting)
+    return builds
+
+
+def _result_bytes(result):
+    """Every field of a share-question result, arrays and floats as bytes."""
+    if dataclasses.is_dataclass(result):
+        return tuple(_result_bytes(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, (tuple, list)):
+        return tuple(map(_result_bytes, result))
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, float):
+        return float(result).hex()
+    return type(result), result
+
+
+def test_one_pair_builds_each_situation_once(monkeypatch):
+    # classify, reversal and cells under two weightings all read the
+    # problems the pair built on first use
+    builds = _counted_builds(monkeypatch)
+    for env, ma, mb in _scan_pairs():
+        builds.clear()
+        pair = stability.SharePair(env, ma, mb)
+        pair.classify()
+        pair.reversal()
+        pair.cells()
+        pair.cells(np.full(env.n_situations, 1.0 / env.n_situations))
+        assert len(builds) == env.n_situations
+
+
+def test_build_investment_builds_one_problem(monkeypatch, tmp_path, capsys):
+    # the reversal and the share bands come from one pair's one situation
+    builds = _counted_builds(monkeypatch)
+    assert cli.main(["build-investment", "--out", str(tmp_path / "inv")]) == 0
+    assert len(builds) == 1
+
+
+def test_pair_answers_equal_the_module_functions():
+    for env, ma, mb in _scan_pairs():
+        q = np.arange(1.0, env.n_situations + 1.0) / sum(range(env.n_situations + 1))
+        pair = stability.SharePair(env, ma, mb)
+        assert _result_bytes(pair.classify(q, (0.2, 0.01))) == _result_bytes(
+            classify_stability(env, ma, mb, q=q, eps_list=(0.2, 0.01)))
+        assert _result_bytes(pair.classify()) == _result_bytes(classify_stability(env, ma, mb))
+        assert _result_bytes(pair.reversal()) == _result_bytes(detect_reversal(env, ma, mb))
+        for weights in (None, q):
+            assert _result_bytes(pair.cells(weights)) == _result_bytes(
+                stable_shares(env, ma, mb, q=weights))
 
 
 def _cell_draws():
