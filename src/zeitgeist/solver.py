@@ -15,13 +15,15 @@ feasibility pass weights the tables along a leading axis of shares, cuts
 every minimizer set at once, takes the first single-parameter
 rationalizer as a degenerate belief, and runs the max-margin mixture LP
 only for triples with none that the other group could complete and with
-no deviation that every minimizer prefers beyond the tie slack; its play
+no mix of one or two deviations that every minimizer prefers beyond the
+tie slack, once per problem for each triple and minimizer set; its play
 quadruples are ``quadruples``, and ``solve_many`` adds their beliefs."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -40,9 +42,10 @@ def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first call; every LP of the
     package is a ``max_margin`` program solved here.
 
-    Loading scipy.optimize takes about half a second, and only a few per
-    cent of situation solves reach an LP.  ``perfbench/spans.py`` wraps
-    this module-level name to count and time the LP calls."""
+    Loading scipy.optimize takes about half a second, and after the screens
+    in ``_mixture_belief`` one situation solve in 32 of the benchmark's
+    random pool reaches an LP.  ``perfbench/spans.py`` wraps this
+    module-level name to count and time the LP calls."""
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
 
@@ -107,15 +110,29 @@ def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
     Row r holds one parameter's payoff of every own action against its
     conjectured opponent action.  Returns (weights, used_mixture).
 
-    The LP is skipped when all rows prefer one deviation j by more than
-    twice the tie tolerance of both stacks: every simplex ``w`` then has
-    ``(w @ d)_j <= max_r d_rj < -s`` (the minimax bound on the LP's value),
-    as ``|w @ v| <= max |v|`` bounds the final check's slack ``s``, so that
-    check would reject any LP answer.  The 2 covers rounding in both."""
+    The LP is skipped when some mix of at most two deviations j, k rules
+    out every belief.  Any simplex ``w`` has ``min_j (w @ d)_j <= w @ (λ d_j
+    + (1 - λ) d_k) <= max_r (λ d_rj + (1 - λ) d_rk)``; when that max is below
+    minus twice the tie tolerance of both stacks, it is below ``-s`` for the
+    final check's slack ``s`` (``|w @ v| <= max |v|`` bounds it), so that
+    check would reject any LP answer.  The 2 covers rounding in both.  Over
+    λ the max is least at an end of [0, 1], one deviation alone, or where
+    two rows cross, and only a pair with an entry below the bound in every
+    row can qualify.  The LP's optimal mix of columns needs no more columns
+    than there are rows, so for two minimizers the screen is exact."""
     d_own = v_own[:, a_own][:, None] - v_own   # >= -slack required, all columns
     d_cross = v_cross[:, a_cross][:, None] - v_cross
     d = np.hstack([d_own, d_cross])
-    if d.max(axis=0).min() < -2.0 * tie_tolerance(np.hstack([v_own, v_cross])):
+    bound = -2.0 * tie_tolerance(np.hstack([v_own, v_cross]))
+    if d.max(axis=0).min() < bound:
+        return None
+    high = (d >= bound).astype(float)
+    j, k = np.nonzero(high.T @ high == 0.0)     # both orders, so λ = 1 also covers λ = 0
+    step, base = d[:, j] - d[:, k], d[:, k]     # [r, pair]: row r's line is base + λ step
+    with np.errstate(divide="ignore", invalid="ignore"):   # [r, s, pair]: where rows cross
+        lam = (base[None] - base[:, None]) / (step[:, None] - step[None])
+    lam = np.where((lam > 0.0) & (lam < 1.0), lam, 1.0)
+    if reduce(np.maximum, (b + lam * s for b, s in zip(base, step))).min(initial=0.0) < bound:
         return None
 
     # maximize the worst optimality margin so the solution sits as far from
@@ -143,12 +160,15 @@ class _GroupTables:
     group's action against it: (a_AA, a_AB, a_BA) for group A and
     (a_BB, a_BA, a_AB) for group B.  The arrays are the group's rows of the
     pass ``SituationProblem`` makes over both models' stacked parameters.
+    ``lps`` keeps every ``_mixture_belief`` answer under its inputs' key
+    (x, y, z, member-index bytes), so a problem solves each LP once.
     """
 
     def __init__(self, inf, diag, cross, v_own, v_cross, ok):
         self.inf, self.diag, self.cross = inf, diag, cross
         self.v_own, self.v_cross, self.ok = v_own, v_cross, ok
         self.n_params = len(diag)
+        self.lps: dict[tuple[int, int, int, bytes], tuple[np.ndarray, bool] | None] = {}
 
     def objective(self, w_own: np.ndarray, w_cross: np.ndarray) -> np.ndarray:
         """Weighted objective [t, k, x, y, z] of every parameter and triple."""
@@ -187,10 +207,13 @@ class _GroupCut:
 
     def run_lp(self, wanted: np.ndarray) -> np.ndarray:
         """Certify the ``wanted`` LP triples; returns the feasibility mask."""
-        v_own, v_cross = self.tables.v_own, self.tables.v_cross
+        v_own, v_cross, lps = self.tables.v_own, self.tables.v_cross, self.tables.lps
         for k, x, y, z in np.argwhere(self.needs_lp & wanted).tolist():
             idx = np.flatnonzero(self.members[:, k, x, y, z])
-            found = _mixture_belief(v_own[idx, x], v_cross[idx, z], x, y)
+            key = (x, y, z, idx.tobytes())
+            if key not in lps:
+                lps[key] = _mixture_belief(v_own[idx, x], v_cross[idx, z], x, y)
+            found = lps[key]
             if found is not None:
                 belief = np.zeros(self.tables.n_params)
                 belief[idx] = found[0]
@@ -290,7 +313,8 @@ class SituationProblem:
         B's on (a_AB, a_BA, a_BB), so each group's triples are certified
         once.  A triple without a single-parameter rationalizer reaches
         the LP only when the other group has a triple that completes it and
-        its minimizers share no preferred deviation beyond the tie slack.
+        its minimizers share no preferred mix of one or two deviations
+        beyond the tie slack.
         """
         shares = np.array([validate_shares(s) for s in shares_seq]).reshape(-1, 2)
         size = max(1, CHUNK_ELEMENTS // max(tables.inf.size for tables in self.groups))

@@ -185,18 +185,18 @@ def test_expected_payoff_and_best_responses():
 
 
 def test_min_tiebreak_best_response_breaks_against_leader():
-    # follower indifferent between both replies; the pessimistic pick is the
-    # one worse for the committing player
+    # consequence j follows the opponent's action j, so U = utility =
+    # [[0, 1], [2, 1]]: against a leader committed to y, replies x and y
+    # both pay the follower 1, and y leaves the leader 1 instead of 2
     table = np.zeros((2, 2, 2))
-    table[0, 0, 0] = 1.0
-    table[0, 1, 1] = 1.0
-    table[1, 0, 1] = 1.0
-    table[1, 1, 0] = 1.0
+    table[:, 0, 0] = 1.0
+    table[:, 1, 1] = 1.0
     env = StageEnv(["x", "y"], ["c0", "c1"], ["G"], [table],
-                   np.array([[1.0, 1.0], [5.0, 0.0]]))
-    # replying to x: both of the follower's options pay the follower 1 or 5
-    # depending on role; against commitment to y the follower is indifferent
-    assert _followers(env.payoff_matrix("G"))[env.strategy_index("y")] in (0, 1)
+                   np.array([[0.0, 1.0], [2.0, 1.0]]))
+    U = env.payoff_matrix("G")
+    assert U.tolist() == [[0.0, 1.0], [2.0, 1.0]]
+    y = env.strategy_index("y")
+    assert _followers(U)[y] == y
 
 
 def test_symmetric_nash_exists_and_picks_best():

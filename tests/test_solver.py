@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -454,35 +455,74 @@ def _mixture_belief_without_screen(v_own, v_cross, a_own, a_cross):
     return w, int(np.count_nonzero(w)) > 1
 
 
+def _one_deviation_screens(v_own, v_cross, a_own, a_cross) -> bool:
+    """The screen's first test alone: every row prefers one deviation."""
+    d = np.hstack([v_own[:, a_own][:, None] - v_own, v_cross[:, a_cross][:, None] - v_cross])
+    return bool(d.max(axis=0).min() < -2.0 * tie_tolerance(np.hstack([v_own, v_cross])))
+
+
 def test_belief_screen_agrees_with_the_lp_on_seeded_problems(monkeypatch):
     # every belief-LP input of seeded problems: pinned and free conjectures
-    # under perfect monitoring, and the product-expanded correct model under
-    # noisy monitoring, whose own-data term vanishes at the extreme shares
-    problems = [_problem(seed, 4, 6, False, fixed) for seed in range(2)
+    # under perfect monitoring, the product-expanded correct model under
+    # noisy monitoring, whose own-data term vanishes at the extreme shares,
+    # and the benchmark pool's problem that reaches the LP, at its share;
+    # then seeded two-member inputs, where the two-deviation bound is exact,
+    # so the LP is reached only where it certifies a belief
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.workloads import enumerate_pool
+
+    problems = [(*_problem(seed, 4, 6, False, fixed), (0.0, 0.3, 1.0)) for seed in range(2)
                 for fixed in (False, True)]
     for seed in range(3):
         env, _, _ = _problem(seed, 3, 1, True, False)
         model = minimal_correct_model(env).expand_product(env)
-        problems.append((env, model, model))
+        problems.append((env, model, model, (0.0, 0.3, 1.0)))
+    env, model_a, model_b, shares = enumerate_pool()[3]
+    problems.append((env, model_a, model_b, (shares[0],)))
     harvest, real = [], solver._mixture_belief
     monkeypatch.setattr(solver, "_mixture_belief",
                         lambda *args: harvest.append(args) or real(*args))
-    for env, model_a, model_b in problems:
+    for env, model_a, model_b, grid in problems:
         problem = SituationProblem(env, model_a, model_b, "G0")
-        for p in (0.0, 0.3, 1.0):
+        for p in grid:
             problem.solve((p, 1.0 - p))
+    rng = np.random.default_rng(28)
+    harvest += [(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), int(rng.integers(3)),
+                 int(rng.integers(3))) for _ in range(300)]
 
     lp_calls = []
     monkeypatch.setattr(solver, "linprog",
                         lambda *a, **k: lp_calls.append(1) or linprog(*a, **k))
-    screened = accepted = 0
+    screened = two_deviation = accepted = two_member_lps = 0
     for args in harvest:
         before = len(lp_calls)
         got = real(*args)
-        screened += len(lp_calls) == before
+        reached = len(lp_calls) > before
+        screened += not reached
+        two_deviation += not reached and not _one_deviation_screens(*args)
         want = _mixture_belief_without_screen(*args)
         assert (got is None) == (want is None), args
         if got is not None:
             accepted += 1
             assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1], args
-    assert screened > 0 and accepted > 0, (len(harvest), screened, accepted)
+        if reached and len(args[0]) == 2:
+            two_member_lps += 1
+            assert got is not None, args
+    assert min(screened, two_deviation, accepted, two_member_lps) > 0, (
+        len(harvest), screened, two_deviation, accepted, two_member_lps)
+
+
+def test_two_deviation_mix_beyond_the_slack_skips_the_lp(monkeypatch):
+    # neither parameter prefers one deviation that the other does not, but
+    # the even mix of own actions 1 and 2 is worse by 0.25 for both: d rows
+    # (0, -1, 0.5, 0, 0) and (0, 0.5, -1, 0, 0), so no belief makes 0 optimal
+    v_own = np.array([[0.0, 1.0, -0.5], [0.0, -0.5, 1.0]])
+    v_cross = np.zeros((2, 2))
+    assert not _one_deviation_screens(v_own, v_cross, 0, 0)
+    assert _mixture_belief_without_screen(v_own, v_cross, 0, 0) is None
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the belief LP was called")
+
+    monkeypatch.setattr(solver, "linprog", forbidden)
+    assert solver._mixture_belief(v_own, v_cross, 0, 0) is None

@@ -538,6 +538,41 @@ def test_quadruples_equal_the_solved_outcomes(duopoly_11, monkeypatch):
     assert compared >= 1600 and empty >= 80
 
 
+def test_share_cells_solve_each_belief_lp_once(monkeypatch):
+    # draw 27 of the reversal pool has 41 cells whose midpoints repeat
+    # member sets: one problem per situation evaluates the belief LP once
+    # for each distinct (situation, group, triple, member set) over all
+    # cells, so it makes at most one LP call each, and solving the midpoints
+    # again through the pair evaluates none.  Every midpoint's outcomes
+    # equal, beliefs byte for byte, those of a fresh problem, which starts
+    # with no LP answers.
+    env, ma, mb = next(case[1:] for case in _reversal_pool() if case[0] == 27)
+    pair = stability.SharePair(env, ma, mb)
+    keys, evaluated, lp_calls = set(), [], []
+    run_lp, belief, real = solver._GroupCut.run_lp, solver._mixture_belief, solver.linprog
+
+    def recording(cut, wanted):
+        group = next((gi, g) for gi, problem in enumerate(pair.problems)
+                     for g, tables in enumerate(problem.groups) if tables is cut.tables)
+        for k, x, y, z in np.argwhere(cut.needs_lp & wanted).tolist():
+            keys.add((group, x, y, z, tuple(np.flatnonzero(cut.members[:, k, x, y, z]))))
+        return run_lp(cut, wanted)
+
+    monkeypatch.setattr(solver._GroupCut, "run_lp", recording)
+    monkeypatch.setattr(solver, "_mixture_belief", lambda *a: evaluated.append(1) or belief(*a))
+    monkeypatch.setattr(solver, "linprog", lambda *a, **k: lp_calls.append(1) or real(*a, **k))
+    ends = np.array(pair.cells().ends)
+    mids = [(p, 1.0 - p) for p in (ends[:-1] + ends[1:]) / 2.0]
+    assert len(mids) >= 40 and len(evaluated) == len(keys) >= len(lp_calls) > 0
+    again = [problem.solve_many(mids) for problem in pair.problems]
+    assert len(evaluated) == len(keys)
+    monkeypatch.undo()
+    for G, solved in zip(env.situations, again, strict=True):
+        for shares, got in zip(mids, solved, strict=True):
+            assert _solution_keys(got) == _solution_keys(
+                SituationProblem(env, ma, mb, G).solve(shares))
+
+
 def _reference_tables(env, model, group, gi):
     """One group's tables from its own model, with the per-group formulas:
     one unsliced ``kl_profile_tables`` call and payoffs gathered per
