@@ -13,7 +13,7 @@ makes aggressive investment look good, and it actually is good there.
 import numpy as np
 
 from zeitgeist.catalog import InvestmentSpec, build_investment_game
-from zeitgeist.solver import conditional_fitness, enumerate_ez, fitness
+from zeitgeist.solver import match_payoffs, share_blend
 from zeitgeist.stability import detect_reversal
 
 spec = InvestmentSpec(b=1.0, c=5.5, m=12.0)
@@ -26,23 +26,24 @@ print(f"data-matching slopes: total 2 -> {report.b_star_11:g}, "
 res = detect_reversal(env, model_a, model_b)
 print(f"\nstability reversal: {res.reversal}")
 
+# one situation, so each outcome of it is a whole population state
 print("\n-- residents (A) fill the population --")
-for z in res.states_resident_a:
-    quad = tuple(env.strategies[i] for i in z.outcomes[0].quadruple)
+for o in res.outcomes_resident_a[0]:
+    quad = tuple(env.strategies[i] for i in o.quadruple)
+    m = match_payoffs(env, 0, o.quadruple)
     print(f"state {quad}:")
-    for versus in ("A", "B"):
-        fa = conditional_fitness(z, env, 0, "A", versus)
-        fb = conditional_fitness(z, env, 0, "B", versus)
+    for h, versus in enumerate("AB"):
+        fa, fb = m[0, h], m[1, h]
         print(f"  against group {versus}: A earns {fa:.2f}, B earns {fb:.2f}"
               f"  -> A ahead by {fa - fb:+.2f}")
-    idx = int(np.argmax(z.outcomes[0].belief_b))
+    idx = int(np.argmax(o.belief_b))
     print(f"  entrant belief: {model_b.params[idx].label}")
 
 print("\n-- entrants (B) fill the population --")
-for z in res.states_resident_b:
-    quad = tuple(env.strategies[i] for i in z.outcomes[0].quadruple)
-    f = fitness(z, env)
-    idx = int(np.argmax(z.outcomes[0].belief_b))
+for o in res.outcomes_resident_b[0]:
+    quad = tuple(env.strategies[i] for i in o.quadruple)
+    f = share_blend(match_payoffs(env, 0, o.quadruple), (0.0, 1.0))
+    idx = int(np.argmax(o.belief_b))
     print(f"state {quad}: fitness A {f[0]:.2f} vs B {f[1]:.2f}; "
           f"entrant belief {model_b.params[idx].label}")
 

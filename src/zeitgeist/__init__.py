@@ -45,9 +45,7 @@ from .solver import (
     enumerate_situation_ez,
     fitness,
     match_payoffs,
-    render_summaries,
     verify_ez,
-    zeitgeist_summary,
 )
 from .stability import (
     DEFAULT_EPS_LIST,
@@ -90,7 +88,6 @@ __all__ = [
     "Zeitgeist", "SituationOutcome", "SituationProblem",
     "enumerate_situation_ez", "enumerate_ez",
     "verify_ez", "fitness", "match_payoffs", "conditional_fitness",
-    "zeitgeist_summary", "render_summaries",
     "StabilityVerdict", "classify_stability", "ReversalResult",
     "detect_reversal", "StableSharesResult", "stable_shares",
     "affine_stable_shares", "SeparationResult",

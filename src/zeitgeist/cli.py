@@ -18,6 +18,7 @@ result (a solve that finds no self-confirming state, or a zero-horizon run).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -29,11 +30,11 @@ import yaml
 from . import __version__, catalog
 from .config import ConfigError, load_env, load_model, load_sim, \
     save_env, save_model
-from .games import as_weights, stackelberg, symmetric_nash
+from .games import TOL, stackelberg, symmetric_nash
 from .learning import compare_to_ez, run_learning
 from .models import check_identifiability
 from .reproduce import render_table, rows_to_dicts, run_all
-from .solver import enumerate_ez, render_summaries, zeitgeist_summary
+from .solver import enumerate_ez, enumerate_situation_ez, match_payoffs, share_blend
 from .stability import DEFAULT_EPS_LIST, SharePair, affine_stable_shares, \
     classify_stability, singleton_fragility_check
 
@@ -128,14 +129,33 @@ def _load_configs(args):
 def cmd_solve_ez(args, man):
     env, model_a, model_b = _load_configs(args)
     shares = _floats(args.shares, "--shares", 2)
-    q = as_weights(_floats(args.q, "--q"), env.n_situations) if args.q else None
-    states = enumerate_ez(env, model_a, model_b, shares)
+    per_situation = [enumerate_situation_ez(env, model_a, model_b, G, shares)
+                     for G in env.situations]
+    counts = [len(outcomes) for outcomes in per_situation]
+
+    def belief_map(model, w):
+        return {model.params[t].label or f"param_{t}": round(float(w[t]), 12)
+                for t in np.flatnonzero(w > TOL)}
+
+    rows = [{"situation": o.situation,
+             "play": [env.strategies[a] for a in o.quadruple],
+             "play_indices": o.quadruple,
+             "belief_a": belief_map(model_a, o.belief_a), "belief_b": belief_map(model_b, o.belief_b),
+             "mixture_a": o.mixture_a, "mixture_b": o.mixture_b,
+             "payoffs": share_blend(match_payoffs(env, gi, o.quadruple), shares)}
+            for gi, outcomes in enumerate(per_situation) for o in outcomes]
     return "ez", [
         ("shares", shares, None),
-        ("count", len(states), None),
-        ("states", [zeitgeist_summary(z, env, model_a, model_b, q) for z in states],
-         render_summaries),
-    ], EXIT_OK if states else EXIT_EMPTY
+        ("counts", counts, None),
+        ("count", math.prod(counts),
+         "{} self-confirming state(s) at shares A={shares[0]:g} B={shares[1]:g}, "
+         "the product of outcomes per situation {counts}"),
+        ("outcomes", rows,
+         "  {situation}: AA={play[0]} AB={play[1]} BA={play[2]} BB={play[3]} "
+         "payoffs A={payoffs[0]:.6g} B={payoffs[1]:.6g} "
+         "mixture A={mixture_a} B={mixture_b}\n"
+         "    belief A: {belief_a}\n    belief B: {belief_b}"),
+    ], EXIT_OK if all(counts) else EXIT_EMPTY
 
 
 def cmd_classify(args, man):
@@ -367,8 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "Enumerate all self-confirming states of an environment.", True)
     add_configs(sp)
     sp.add_argument("--shares", default="0.5,0.5", metavar="pA,pB")
-    sp.add_argument("--q", metavar="w1,w2,...",
-                    help="situation weights for the fitness table")
 
     sp = add("classify", cmd_classify,
              "Stability verdict for a resident model against an entrant.")

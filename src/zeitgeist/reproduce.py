@@ -61,9 +61,9 @@ def _check_cournot() -> CheckRow:
                 ok, t0)
 
 
-def _check_separation(env=None) -> CheckRow:
+def _check_separation() -> CheckRow:
     t0 = time.time()
-    env = env if env is not None else catalog.build_two_situation_game()
+    env = catalog.build_two_situation_game()
     nash = [symmetric_nash(env, G).value for G in env.situations]
     stack = [(s.strategy, s.value) for s in (stackelberg(env, G) for G in env.situations)]
     ident = check_identifiability(env)
@@ -81,9 +81,9 @@ def _check_separation(env=None) -> CheckRow:
                 f"separable={got[3]} margin={got[4]}", ok, t0)
 
 
-def _check_fragility(env=None) -> CheckRow:
+def _check_fragility() -> CheckRow:
     t0 = time.time()
-    env = env if env is not None else catalog.build_two_situation_game()
+    env = catalog.build_two_situation_game()
     verdict = classify_stability(env, minimal_correct_model(env),
                                  illusion_of_control_model(env),
                                  q=(0.5, 0.5), eps_list=(0.01, 0.005, 0.001))
@@ -159,13 +159,8 @@ CHECKS = {
 }
 
 
-def run_all(only=None, example_env=None) -> list[CheckRow]:
-    """Run the reference checks, optionally a named subset.
-
-    ``example_env`` substitutes the two-situation environment used by the
-    separation and fragility rows; pointing it at a modified copy is the
-    supported way to confirm the table actually detects a broken fixture.
-    """
+def run_all(only=None) -> list[CheckRow]:
+    """Run the reference checks, optionally a named subset."""
     names = list(CHECKS) if only is None else list(only)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
@@ -173,10 +168,7 @@ def run_all(only=None, example_env=None) -> list[CheckRow]:
     rows = []
     for name in names:
         try:
-            if name in ("separation", "fragility") and example_env is not None:
-                rows.append(CHECKS[name](example_env))
-            else:
-                rows.append(CHECKS[name]())
+            rows.append(CHECKS[name]())
         except Exception as exc:   # a crashed check is a failed row, not a crash
             rows.append(CheckRow(name, "-", "no exception",
                                  f"{type(exc).__name__}: {exc}", False, 0.0))

@@ -31,8 +31,6 @@ from .games import TOL, StageEnv, as_weights, slack, tie_tolerance
 from .inference import (CHUNK_ELEMENTS, DataContext, conjectures, kl_minimizers,
                         kl_profile_tables, member_cut, validate_shares)
 
-QUAD_KEYS = ("a_AA", "a_AB", "a_BA", "a_BB")
-
 # composing per-situation results across situations multiplies counts;
 # beyond this the caller should work situation by situation
 MAX_COMPOSED = 200_000
@@ -203,7 +201,6 @@ class _GroupCut:
         self.first = single.argmax(axis=0)        # first rationalizer, index order
         self.needs_lp = ~self.has_single & (self.members.sum(axis=0) >= 2)
         self.feasible = self.has_single.copy()
-        self.mixtures: dict[tuple[int, int, int, int], tuple[np.ndarray, bool]] = {}
 
     def run_lp(self, wanted: np.ndarray) -> np.ndarray:
         """Certify the ``wanted`` LP triples; returns the feasibility mask."""
@@ -213,23 +210,21 @@ class _GroupCut:
             key = (x, y, z, idx.tobytes())
             if key not in lps:
                 lps[key] = _mixture_belief(v_own[idx, x], v_cross[idx, z], x, y)
-            found = lps[key]
-            if found is not None:
-                belief = np.zeros(self.tables.n_params)
-                belief[idx] = found[0]
-                self.mixtures[(k, x, y, z)] = (belief, found[1])
-                self.feasible[k, x, y, z] = True
+            self.feasible[k, x, y, z] = lps[key] is not None
         return self.feasible
 
-    def support(self, *at: int) -> tuple[np.ndarray, tuple[int, ...], bool, bool]:
-        """(belief, minimizers, all infinite, mixture) of a feasible (k, x, y, z)."""
-        if self.has_single[at]:
-            belief, mixture = np.zeros(self.tables.n_params), False
-            belief[self.first[at]] = 1.0
+    def support(self, k: int, x: int, y: int, z: int
+                ) -> tuple[np.ndarray, tuple[int, ...], bool, bool]:
+        """(belief, minimizers, all infinite, mixture) of a feasible (k, x, y, z);
+        a mixture belief is the LP answer ``run_lp`` kept under its key."""
+        idx = np.flatnonzero(self.members[:, k, x, y, z])
+        belief, mixture = np.zeros(self.tables.n_params), False
+        if self.has_single[k, x, y, z]:
+            belief[self.first[k, x, y, z]] = 1.0
         else:
-            belief, mixture = self.mixtures[at]
-        members = tuple(int(t) for t in np.flatnonzero(self.members[(slice(None), *at)]))
-        return belief.copy(), members, bool(self.all_inf[at]), mixture
+            weights, mixture = self.tables.lps[(x, y, z, idx.tobytes())]
+            belief[idx] = weights
+        return belief, tuple(int(t) for t in idx), bool(self.all_inf[k, x, y, z]), mixture
 
 
 class SituationProblem:
@@ -501,40 +496,3 @@ def verify_ez(z: Zeitgeist, env: StageEnv, model_a,
     cert = EZCertificate(tuple(checks))
     return cert.ok, cert
 
-
-def zeitgeist_summary(z: Zeitgeist, env: StageEnv, model_a, model_b,
-                      q=None) -> dict:
-    """JSON-ready description of one population state."""
-    fit = fitness(z, env, q)
-    rows = []
-    for o in z.outcomes:
-        def belief_map(model, w):
-            return {model.params[t].label or f"param_{t}": round(float(w[t]), 12)
-                    for t in np.flatnonzero(w > TOL)}
-        rows.append({
-            "situation": o.situation,
-            "play": {key: env.strategies[a] for key, a in zip(QUAD_KEYS, o.quadruple)},
-            "play_indices": list(o.quadruple),
-            "belief_a": belief_map(model_a, o.belief_a),
-            "belief_b": belief_map(model_b, o.belief_b),
-            "mixture_a": o.mixture_a,
-            "mixture_b": o.mixture_b,
-        })
-    return {"shares": list(z.shares), "fitness": {"A": fit[0], "B": fit[1]},
-            "mixture_supported": z.mixture_supported, "situations": rows}
-
-
-def render_summaries(summaries: list[dict]) -> str:
-    """Human-readable report of ``zeitgeist_summary`` documents."""
-    lines = [f"{len(summaries)} self-confirming state(s)"]
-    for idx, s in enumerate(summaries):
-        lines.append(f"[{idx}] shares A={s['shares'][0]:g} B={s['shares'][1]:g} "
-                     f"fitness A={s['fitness']['A']:.6g} B={s['fitness']['B']:.6g}"
-                     + (" (mixture belief)" if s["mixture_supported"] else ""))
-        for row in s["situations"]:
-            play = row["play"]
-            lines.append("    {}: AA={} AB={} BA={} BB={}".format(
-                row["situation"], play["a_AA"], play["a_AB"], play["a_BA"], play["a_BB"]))
-            lines.append(f"      belief A: {row['belief_a']}")
-            lines.append(f"      belief B: {row['belief_b']}")
-    return "\n".join(lines)

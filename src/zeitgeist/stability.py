@@ -65,7 +65,10 @@ def _gap_range(env: StageEnv, per_situation, weights, blend) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class ReversalResult:
-    """Reversal flags, and each situation's outcomes at both extremes; states compose on read."""
+    """Reversal flags, and each situation's outcomes at both extremes.
+
+    ``states_resident_a`` and ``states_resident_b`` compose the states on
+    read and raise past ``MAX_COMPOSED`` states; read the outcomes."""
     reversal: bool
     condition_majority_a: bool
     condition_majority_b: bool

@@ -1,4 +1,5 @@
 import filecmp
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ import yaml
 
 from conftest import coordination_env, mismatch_env
 from zeitgeist import catalog, cli, config, reproduce
-from zeitgeist.games import StageEnv
+from zeitgeist.games import TOL, StageEnv
 from zeitgeist.models import illusion_of_control_model, minimal_correct_model
-from zeitgeist.solver import render_summaries
+from zeitgeist.solver import enumerate_situation_ez, match_payoffs, share_blend
 
 
 def _save_pair(env, tmp_path, stem="game"):
@@ -68,10 +69,11 @@ def test_solve_ez_outputs_and_manifest(tmp_path, capsys):
     assert set(man["config_paths"]) == {env_path, model_path}
     for name in man["outputs"]:
         assert (out / name).exists()
-    # the machine-readable mirror carries the same states
+    # the machine-readable mirror carries the same outcomes
     with open(out / "ez.yaml") as fh:
         doc = yaml.safe_load(fh)
-    assert doc["states"]
+    assert list(doc) == ["shares", "counts", "count", "outcomes"]
+    assert doc["outcomes"]
     assert doc["shares"] == [0.5, 0.5]
 
 
@@ -82,13 +84,20 @@ def test_solve_ez_text_is_rendered_from_its_yaml(tmp_path, capsys):
     config.save_model(illusion_of_control_model(env), model_b)
     out = tmp_path / "run"
     assert cli.main(["solve-ez", "--env", env_path, "--model-a", model_a,
-                     "--model-b", model_b, "--shares", "0.9,0.1", "--q", "0.3,0.7",
+                     "--model-b", model_b, "--shares", "0.9,0.1",
                      "--out", str(out)]) == 0
     doc = _read_yaml(out / "ez.yaml")
-    assert doc["count"] == len(doc["states"]) > 0
+    assert doc["count"] == math.prod(doc["counts"]) > 0
+    assert len(doc["outcomes"]) == sum(doc["counts"])
     text = (out / "ez.txt").read_text()
-    assert text == render_summaries(doc["states"]) + "\n"
     assert text == capsys.readouterr().out
+    # a heading line, then three lines per outcome row of the YAML
+    lines = text.splitlines()
+    assert lines[0].startswith(f"{doc['count']} self-confirming state(s)")
+    assert len(lines) == 1 + 3 * len(doc["outcomes"])
+    for row, line in zip(doc["outcomes"], lines[1::3]):
+        assert line.startswith("  {}: AA={} AB={} BA={} BB={} payoffs A={:.6g} B={:.6g}".format(
+            row["situation"], *row["play"], *row["payoffs"]))
 
 
 def test_solve_ez_without_states_exits_two(tmp_path, capsys):
@@ -99,23 +108,36 @@ def test_solve_ez_without_states_exits_two(tmp_path, capsys):
     assert rc == 2
     # legal-but-empty still documents itself
     assert (out / "ez.txt").exists()
-    with open(out / "ez.yaml") as fh:
-        assert yaml.safe_load(fh)["states"] == []
+    doc = _read_yaml(out / "ez.yaml")
+    assert (doc["counts"], doc["count"], doc["outcomes"]) == ([0], 0, [])
 
 
-@pytest.mark.parametrize("q", ["0.3", "nan", "2,-1"])
-def test_solve_ez_checks_weights_before_solving(tmp_path, capsys, monkeypatch, q):
-    # bad situation weights are an input error even where no state exists,
-    # and are refused before the enumeration starts
-    solves = []
-    solve = cli.enumerate_ez
-    monkeypatch.setattr(cli, "enumerate_ez", lambda *args: solves.append(args) or solve(*args))
-    env_path, model_path = _save_pair(mismatch_env(), tmp_path)
-    rc = cli.main(["solve-ez", "--env", env_path, "--model-a", model_path,
-                   "--model-b", model_path, "--q", q, "--out", str(tmp_path / "run")])
-    assert rc == 1
-    assert "situation weights" in capsys.readouterr().err
-    assert solves == []
+def test_solve_ez_reports_outcomes_per_situation(tmp_path, capsys):
+    # six copies of one situation have 8 outcomes each and 8**6 states;
+    # the report lists the 48 outcomes and never forms the product
+    base = coordination_env()
+    env = StageEnv(base.strategies, base.consequences, [f"G{i}" for i in range(6)],
+                   [base.kernels[0].table] * 6, base.utility)
+    env_path, model_path = _save_pair(env, tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["solve-ez", "--env", env_path, "--model-a", model_path,
+                     "--model-b", model_path, "--out", str(out)]) == 0
+    doc = _read_yaml(out / "ez.yaml")
+    assert doc["counts"] == [8] * 6 and doc["count"] == 8 ** 6 == 262144
+    model = config.load_model(model_path)
+    want = [(gi, o) for gi, G in enumerate(env.situations)
+            for o in enumerate_situation_ez(env, model, model, G, (0.5, 0.5))]
+    assert len(doc["outcomes"]) == len(want) == 48
+    for row, (gi, o) in zip(doc["outcomes"], want):
+        assert row["situation"] == o.situation
+        assert row["play_indices"] == list(o.quadruple)
+        assert row["play"] == [env.strategies[a] for a in o.quadruple]
+        for key, w in (("belief_a", o.belief_a), ("belief_b", o.belief_b)):
+            assert row[key] == {model.params[t].label or f"param_{t}": round(float(w[t]), 12)
+                                for t in np.flatnonzero(w > TOL)}
+        assert (row["mixture_a"], row["mixture_b"]) == (o.mixture_a, o.mixture_b)
+        assert row["payoffs"] == share_blend(match_payoffs(env, gi, o.quadruple),
+                                             (0.5, 0.5)).tolist()
 
 
 def test_each_output_file_belongs_to_one_manifest(tmp_path):
@@ -266,14 +288,15 @@ def test_reproduce_subset(capsys):
     assert "2/2 checks passed" in out
 
 
-def test_reproduce_table_catches_a_broken_fixture():
+def test_reproduce_table_catches_a_broken_fixture(monkeypatch):
     # the second situation made a shifted copy of the first: commitment no
     # longer pays anywhere, so only the rows reading that fixture fail
     s1 = catalog.build_two_situation_game().kernels[0].table[:, :, 0]
     kernels = [np.stack([t, 1.0 - t], axis=2) for t in (s1, s1 + 0.05)]
     broken = StageEnv(["a1", "a2", "a3"], ["success", "failure"], ["G1", "G2"],
                       kernels, np.array([1.0, 0.0]))
-    rows = reproduce.run_all(example_env=broken)
+    monkeypatch.setattr(catalog, "build_two_situation_game", lambda: broken)
+    rows = reproduce.run_all()
     assert {r.name: r.ok for r in rows} == {
         "cournot": True, "separation": False, "fragility": False, "reversal": True,
         "centipede": True, "dollar": True, "learning": True}

@@ -24,7 +24,6 @@ from zeitgeist.solver import (
     match_payoffs,
     share_blend,
     verify_ez,
-    zeitgeist_summary,
 )
 
 
@@ -226,15 +225,6 @@ def test_strategic_certainty_requires_perfect_monitoring():
     model = minimal_correct_model(noisy)
     with pytest.raises(ValueError):
         enumerate_ez(noisy, model, model, (0.5, 0.5))
-
-
-def test_summary_is_json_ready():
-    env = coordination_env()
-    model = minimal_correct_model(env)
-    z = enumerate_ez(env, model, model, (0.5, 0.5))[0]
-    s = zeitgeist_summary(z, env, model, model)
-    assert s["shares"] == [0.5, 0.5]
-    assert set(s["situations"][0]["play"]) == {"a_AA", "a_AB", "a_BA", "a_BB"}
 
 
 def test_shares_must_be_distribution():
