@@ -308,6 +308,8 @@ def cmd_learn(args, man):
     if args.window is not None and not 1 <= args.window <= block:
         raise ConfigError(f"--window must lie in [1, {block}], got {args.window}")
     man.seed = cfg.seed
+    # compose the states first: a composition failure writes no file
+    ez = enumerate_ez(env, model_a, model_b, cfg.shares) if cfg.horizon else None
     t0 = time.perf_counter()
     traj = run_learning(env, model_a, model_b, cfg)
     man.stats.update(simulate_s=round(time.perf_counter() - t0, 3),
@@ -319,7 +321,6 @@ def cmd_learn(args, man):
             ("converged", False, "horizon 0: empty trajectory, not converged"),
         ], EXIT_EMPTY
 
-    ez = enumerate_ez(env, model_a, model_b, cfg.shares)
     window = args.window or min(max(1, traj.horizon // 5), block)
     rep = compare_to_ez(traj, ez, window=window)
     restarts = traj.restarts.sum(axis=0)

@@ -19,13 +19,14 @@ inside each period, and index ties broken low.
 
 The models' likelihood and payoff tables are built once per run, since
 they do not depend on the situation; only the true kernel's cumulative
-consequence table is built per situation, and consequences are drawn from
-it by inverse CDF.  Both groups' log posteriors share one array, a row
-per agent and as many columns as the wider grid, the narrower grid's
-extra columns holding -inf.  Each step of a period runs once over all
-agents but normalization: after each update, each group's rows go through
-the plain row-wise ``logsumexp`` below on that group's columns alone, as
-padding a row with zeros regroups numpy's pairwise sum and moves its bits.
+consequence table is built per situation, its last column +inf, so that
+the first column at or above a uniform draw is the inverse-CDF draw,
+clamped to the last consequence.  Both groups' log posteriors share one
+array, a row per agent and as many columns as the wider grid, the
+narrower grid's extra columns holding -inf.  Each step of a period runs
+once over all agents, and one ``logsumexp`` call normalizes both groups:
+only its row sums run per group, on that group's own columns, as padding
+a row with zeros regroups numpy's pairwise sum and moves its bits.
 ``_exp`` writes +0.0 without calling ``np.exp`` where an entry is at most
 -750 and underflows anyway, as most of a settled posterior's do; numpy's
 exp on a (198, 24) block takes about 7 us at -1, 100 us at -800 and
@@ -49,24 +50,37 @@ CONVERGENCE_TV = 0.05
 
 def _exp(x: np.ndarray) -> np.ndarray:
     """``np.exp(x)``, but +0.0 where x <= -750 (exp rounds to it below -745.13)."""
-    out = np.zeros(x.shape)
-    live = ~(x <= -750.0)   # written so that a NaN still reaches np.exp
-    out[live] = np.exp(x[live])
-    return out
+    out = np.zeros(x.size)
+    # flat indices: a boolean mask would scan all of x at each use; ~(<=) lets NaN through
+    live = np.flatnonzero(~(x <= -750.0))
+    out[live] = np.exp(x.take(live))
+    return out.reshape(x.shape)
 
 
-def logsumexp(a: np.ndarray) -> np.ndarray:
+def logsumexp(a: np.ndarray, blocks) -> np.ndarray:
     """Row-wise log-sum-exp of a 2-d array, as an (n, 1) column.
 
     Each row is shifted by its max before exponentiating; an all ``-inf``
     row is shifted by 0 instead (no ``inf - inf`` NaN) and gives ``-inf``.
+    ``blocks`` pairs row slices with a width: those rows sum only their
+    first ``width`` columns, as padding a row with zeros would regroup
+    numpy's pairwise sum and move its bits.
     """
     # the max is exact in any order; down the columns of a transposed copy
     # it runs across all rows at once, several times faster on short rows
     a_max = a.T.copy().max(axis=0)[:, None]
     shift = np.where(np.isfinite(a_max), a_max, 0.0)
+    e = _exp(a - shift)
+    total = np.empty(shift.shape)
+    for r, width in blocks:
+        e[r, :width].sum(axis=1, keepdims=True, out=total[r])
     with np.errstate(divide="ignore"):
-        return np.log(_exp(a - shift).sum(axis=1, keepdims=True)) + shift
+        return np.log(total) + shift
+
+
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the first column of ``cum`` (last column +inf) at or above u."""
+    return (cum >= u[:, None]).argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -243,7 +257,7 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
     n_all = n_a + n_b
     group_of = np.concatenate([np.zeros(n_a, dtype=int), np.ones(n_b, dtype=int)])
     rows = (slice(0, n_a), slice(n_a, n_all))
-    n = env.n_strategies
+    n, n_y = env.n_strategies, len(env.consequences)
     n_p = (exp_a.n_params, exp_b.n_params)
     weights = as_weights(cfg.q, env.n_situations)
     rng = np.random.default_rng(cfg.seed)
@@ -252,7 +266,7 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
 
     # both groups' tables over one parameter axis; -inf prior in the padding
     log_prior = np.full((2, max(n_p)), -np.inf)
-    ll_all = np.zeros((2, 2, n, len(env.consequences), max(n_p)))
+    ll_all = np.zeros((2, 2, n, n_y, max(n_p)))
     lm_all = np.zeros((2, 2, n, max(n_p)))
     pay2 = []
     for g, model in enumerate((exp_a, exp_b)):
@@ -260,23 +274,27 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
         log_prior[g, :n_p[g]] = np.log(prior[g])
         ll_all[g, ..., :n_p[g]], lm_all[g, ..., :n_p[g]] = ll, lm
         pay2.append(pay)
+    # flat rows, one per (own group, opponent group, action[, consequence])
+    ll_flat, lm_flat = ll_all.reshape(-1, max(n_p)), lm_all.reshape(-1, max(n_p))
     # the true kernel's CDF rows per situation, built on first visit
     cdfs = {}
 
     log_post = log_prior[group_of]
     counts = np.zeros((n_all, 2), dtype=int)
+    agents = np.arange(n_all)
+    two_g = 2 * group_of
     # bincount bins of (own group, opponent group, action), row-major
-    alpha_bin = (2 * group_of[:, None] + np.arange(2)) * n
+    alpha_bin = (two_g[:, None] + np.arange(2)) * n
+    blocks = tuple(zip(rows, n_p))
+    exp_pay = np.empty((n_all, 2 * n))
 
     traj_sit = np.zeros(T, dtype=int)
-    traj_alpha = np.zeros((T, 2, 2, n))
+    alpha_counts = np.zeros((T, 4 * n), dtype=int)
     traj_nu = [np.zeros((T, p)) for p in n_p]
     traj_pay = np.zeros((T, 2))
-    traj_run = np.zeros((T, 2))
     traj_restarts = np.zeros((T, 2), dtype=int)
 
     gi = 0
-    pay_sum = np.zeros(2)
     for t in range(T):
         if t == 0 or (redraw is not None and t % redraw == 0):
             u = rng.random()
@@ -286,8 +304,8 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
                 log_post[:] = log_prior[group_of]
                 counts[:] = 0
             if gi not in cdfs:
-                cdfs[gi] = np.cumsum(
-                    [env.kernels[gi].rows_for_own(a) for a in range(n)], axis=2)
+                cdfs[gi] = np.cumsum([env.kernels[gi].rows_for_own(a) for a in range(n)], axis=2)
+                cdfs[gi][..., -1] = np.inf   # no draw falls past the last consequence
             cdf = cdfs[gi]
 
         # fixed draw order: exploration actions, exploration coin, opponent
@@ -301,31 +319,32 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
 
         # policy actions of every agent against both groups, from frozen state
         post = _exp(log_post)
-        myopic = np.empty((n_all, 2), dtype=int)
-        for g in range(2):
-            view = post[rows[g], :n_p[g]]
-            myopic[rows[g]] = np.argmax((view @ pay2[g]).reshape(-1, 2, n), axis=2)
+        for g, (r, p) in enumerate(blocks):
+            view = post[r, :p]
+            np.matmul(view, pay2[g], out=exp_pay[r])
             traj_nu[g][t] = view.sum(axis=0) / sizes[g]
-        explored = (counts < cfg.policy.burn_in) | (eps_u < cfg.policy.eps_at(t))
+        myopic = exp_pay.reshape(n_all, 2, n).argmax(axis=2)
+        explored = counts < cfg.policy.burn_in
+        if cfg.policy.eps0 > 0:
+            explored |= eps_u < cfg.policy.eps_at(t)
         act = np.where(explored, explore, myopic)
-        traj_alpha[t] = np.bincount((alpha_bin + act).ravel(), minlength=4 * n) \
-            .reshape(2, 2, n) / sizes[:, None, None]
+        alpha_counts[t] = np.bincount((alpha_bin + act).ravel(), minlength=4 * n)
 
         # each agent meets group h with probability p_h, then a uniform
         # member of that pool (with replacement)
         opp_group = (og_u >= cfg.shares[0]).astype(int)
         pool = sizes[opp_group]
         opp_idx = np.minimum((oi_u * pool).astype(int), pool - 1) + n_a * opp_group
-        a_own = act[np.arange(n_all), opp_group]
+        a_own = act[agents, opp_group]
         a_opp = act[opp_idx, group_of]
 
-        cum = cdf[a_own, a_opp]
-        y = np.minimum((y_u[:, None] > cum).sum(axis=1), cum.shape[1] - 1)
+        y = _inverse_cdf(cdf[a_own, a_opp], y_u)
         m = np.where(m_v < cfg.tau, a_opp, m_w)
 
         realized = env.utility[a_own, y]
-        log_post += ll_all[group_of, opp_group, a_own, y] + lm_all[group_of, opp_group, m]
-        norm = np.concatenate([logsumexp(log_post[r, :p]) for r, p in zip(rows, n_p)])
+        pair = (two_g + opp_group) * n
+        log_post += ll_flat[(pair + a_own) * n_y + y] + lm_flat[pair + m]
+        norm = logsumexp(log_post, blocks)
         traj_pay[t] = [realized[r].sum() / size for r, size in zip(rows, sizes)]
         dead = ~np.isfinite(norm[:, 0])
         if dead.any():
@@ -334,12 +353,11 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
             norm[dead] = 0.0
             traj_restarts[t] = np.bincount(group_of[dead], minlength=2)
         log_post -= norm
-        counts[np.arange(n_all), opp_group] += 1
-
-        pay_sum += traj_pay[t]
+        counts[agents, opp_group] += 1
         traj_sit[t] = gi
-        traj_run[t] = pay_sum / (t + 1)
 
+    traj_alpha = alpha_counts.reshape(T, 2, 2, n) / sizes[:, None, None]
+    traj_run = np.cumsum(traj_pay, axis=0) / np.arange(1, T + 1)[:, None]
     return LearningTrajectory(traj_sit, traj_alpha, traj_nu[0], traj_nu[1],
                               traj_pay, traj_run, traj_restarts, exp_a, exp_b, cfg)
 

@@ -240,6 +240,24 @@ def test_learn_seed_override(tmp_path):
     assert _read_manifest(out)["seed"] == 77
 
 
+def test_learn_composition_failure_writes_no_trajectory(tmp_path, capsys):
+    # six copies of one situation compose 8**6 states, too many: the
+    # command fails before it simulates or writes anything
+    base = coordination_env()
+    env = StageEnv(base.strategies, base.consequences, [f"G{i}" for i in range(6)],
+                   [base.kernels[0].table] * 6, base.utility)
+    env_path, model_path = _save_pair(env, tmp_path)
+    sim_path = tmp_path / "sim.yaml"
+    sim_path.write_text("kind: sim\nn_agents: 16\nshares: [0.5, 0.5]\n"
+                        "horizon: 40\nseed: 5\n")
+    out = tmp_path / "o"
+    rc = cli.main(["learn", "--env", env_path, "--model-a", model_path,
+                   "--model-b", model_path, "--sim", str(sim_path), "--out", str(out)])
+    assert rc == 1
+    assert "too many combined states" in capsys.readouterr().err
+    assert not (out / "trajectory.txt").exists()
+
+
 def test_learn_zero_horizon_exits_two(tmp_path, capsys):
     env_path, model_path = _save_pair(coordination_env(), tmp_path)
     sim_path = tmp_path / "sim.yaml"
