@@ -12,8 +12,8 @@ predicts for the extreme share.
 import numpy as np
 
 from zeitgeist.catalog import InvestmentSpec, build_investment_game
-from zeitgeist.learning import SimConfig, compare_to_ez, run_learning
-from zeitgeist.solver import enumerate_ez
+from zeitgeist.learning import SimConfig, compare_to_outcomes, run_learning
+from zeitgeist.solver import enumerate_situation_ez
 
 spec = InvestmentSpec(b=1.0, c=5.5, m=12.0)
 env, model_a, model_b, _ = build_investment_game(spec)
@@ -30,10 +30,11 @@ for t in (0, 150, 500, 1499):
     print(f"period {t:>4}: modal play {quad}, entrant belief peak "
           f"{top} ({bel.max():.3f})")
 
-states = enumerate_ez(env, model_a, model_b, cfg.shares)
-rep = compare_to_ez(traj, states, window=300)
+# one situation, so its outcomes are the states
+outcomes = enumerate_situation_ez(env, model_a, model_b, env.situations[0], cfg.shares)
+rep = compare_to_outcomes(traj, [outcomes], window=300)
 print(f"\nenumerated states at these shares: "
-      f"{[z.outcomes[0].quadruple for z in states]}")
+      f"{[o.quadruple for o in outcomes]}")
 print(f"converged to state {rep.best_index}: {rep.converged}")
 print(f"modal play {rep.modal_play}, belief distance {rep.belief_tv:.3g}, "
       f"window payoffs A={rep.mean_payoff[0]:.3f} B={rep.mean_payoff[1]:.3f}")

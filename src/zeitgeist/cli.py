@@ -31,10 +31,10 @@ from . import __version__, catalog
 from .config import ConfigError, load_env, load_model, load_sim, \
     save_env, save_model
 from .games import TOL, stackelberg, symmetric_nash
-from .learning import compare_to_ez, run_learning
+from .learning import compare_to_outcomes, run_learning
 from .models import check_identifiability
 from .reproduce import render_table, rows_to_dicts, run_all
-from .solver import enumerate_ez, enumerate_situation_ez, match_payoffs, share_blend
+from .solver import enumerate_situation_ez, match_payoffs, share_blend
 from .stability import DEFAULT_EPS_LIST, SharePair, affine_stable_shares, \
     classify_stability, singleton_fragility_check
 
@@ -129,8 +129,7 @@ def _load_configs(args):
 def cmd_solve_ez(args, man):
     env, model_a, model_b = _load_configs(args)
     shares = _floats(args.shares, "--shares", 2)
-    per_situation = [enumerate_situation_ez(env, model_a, model_b, G, shares)
-                     for G in env.situations]
+    per_situation = [problem.solve(shares) for problem in SharePair(env, model_a, model_b).problems]
     counts = [len(outcomes) for outcomes in per_situation]
 
     def belief_map(model, w):
@@ -160,8 +159,8 @@ def cmd_solve_ez(args, man):
 
 def cmd_classify(args, man):
     env, model_a, model_b = _load_configs(args)
-    q = _floats(args.q, "--q") if args.q else None
-    eps_list = _floats(args.eps_list, "--eps-list") if args.eps_list else DEFAULT_EPS_LIST
+    q = _floats(args.q, "--q") if args.q is not None else None
+    eps_list = DEFAULT_EPS_LIST if args.eps_list is None else _floats(args.eps_list, "--eps-list")
     verdict = classify_stability(env, model_a, model_b, q=q, eps_list=eps_list)
     return "classify", [
         ("verdict", verdict.label, "verdict: {}"),
@@ -308,8 +307,9 @@ def cmd_learn(args, man):
     if args.window is not None and not 1 <= args.window <= block:
         raise ConfigError(f"--window must lie in [1, {block}], got {args.window}")
     man.seed = cfg.seed
-    # compose the states first: a composition failure writes no file
-    ez = enumerate_ez(env, model_a, model_b, cfg.shares) if cfg.horizon else None
+    # solve each situation first: a solver error writes no file
+    per_situation = [enumerate_situation_ez(env, model_a, model_b, G, cfg.shares)
+                     for G in env.situations] if cfg.horizon else None
     t0 = time.perf_counter()
     traj = run_learning(env, model_a, model_b, cfg)
     man.stats.update(simulate_s=round(time.perf_counter() - t0, 3),
@@ -322,7 +322,7 @@ def cmd_learn(args, man):
         ], EXIT_EMPTY
 
     window = args.window or min(max(1, traj.horizon // 5), block)
-    rep = compare_to_ez(traj, ez, window=window)
+    rep = compare_to_outcomes(traj, per_situation, window=window)
     restarts = traj.restarts.sum(axis=0)
     man.stats["posterior_restarts"] = {"A": int(restarts[0]), "B": int(restarts[1])}
     return "comparison", [
@@ -337,7 +337,7 @@ def cmd_learn(args, man):
         ("mean_payoff", rep.mean_payoff, "mean payoff: A={0[0]:.6g} B={0[1]:.6g}"),
         ("kernel_belief_a", rep.kernel_belief_a, None),
         ("kernel_belief_b", rep.kernel_belief_b, None),
-        ("ez_count", len(ez), None),
+        ("ez_count", math.prod(map(len, per_situation)), None),
         ("best_index", rep.best_index, None),
         ("play_mismatch", rep.play_mismatch, None),
         ("belief_tv", rep.belief_tv,
@@ -464,13 +464,13 @@ def main(argv=None) -> int:
     try:
         stem, fields, code = args.func(args, man)
         text, doc = _report(fields)
-        print(text)
         if args.out:
             with open(man.path_for(stem + ".txt"), "w") as fh:
                 fh.write(text + "\n")
             with open(man.path_for(stem + ".yaml"), "w") as fh:
                 yaml.safe_dump(doc, fh, sort_keys=False)
             man.write()
+        print(text)        # after the files, so a failing stdout loses none of them
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -15,7 +15,8 @@ Play is asymptotically myopic: uniformly random until a burn-in number of
 matches against the relevant opponent group, exactly myopic afterward
 (optionally softened by a decaying exploration rate).  The whole run is
 a deterministic function of the seed: one generator, a fixed draw order
-inside each period, and index ties broken low.
+inside each period, and index ties broken low.  ``compare_to_outcomes`` matches a
+run's last periods against the self-confirming outcomes of their situation.
 
 The models' likelihood and payoff tables are built once per run, since
 they do not depend on the situation; only the true kernel's cumulative
@@ -376,15 +377,15 @@ class ComparisonReport:
     converged: bool
 
 
-def compare_to_ez(traj: LearningTrajectory, ez_list, window: int) -> ComparisonReport:
-    """Match the final stretch of a run against candidate population states.
+def compare_to_outcomes(traj: LearningTrajectory, per_situation, window: int) -> ComparisonReport:
+    """Match the final stretch of a run against its situation's outcomes.
 
-    Over the last ``window`` periods (which must share one situation), the
-    modal play quadruple and mean kernel-marginal beliefs are compared to
-    each state's play and beliefs; states are ranked by play mismatch count
-    plus total-variation distance, and the run counts as converged when
-    play matches exactly and the worse group's distance is within
-    ``CONVERGENCE_TV``.
+    Over the last ``window`` periods (one situation ``gi``), the modal play
+    quadruple and mean kernel-marginal beliefs are compared to those of each
+    outcome in ``per_situation[gi]`` (``enumerate_situation_ez``'s list, which
+    ``best_index`` indexes), ranked by play mismatch count plus total-variation
+    distance; the run has converged when play matches exactly and the worse
+    group's distance is within ``CONVERGENCE_TV``.
     """
     if not 0 < window <= traj.horizon:
         raise ValueError("window must lie in [1, horizon]")
@@ -402,8 +403,7 @@ def compare_to_ez(traj: LearningTrajectory, ez_list, window: int) -> ComparisonR
     pay = traj.payoff[sl].mean(axis=0)
 
     best = None
-    for idx, z in enumerate(ez_list):
-        out = z.outcomes[gi]
+    for idx, out in enumerate(per_situation[gi]):
         mismatch = sum(int(a != b) for a, b in zip(modal, out.quadruple))
         tv_a = _kernel_tv(bel_a, out.belief_a, traj.model_a)
         tv_b = _kernel_tv(bel_b, out.belief_b, traj.model_b)
@@ -416,6 +416,12 @@ def compare_to_ez(traj: LearningTrajectory, ez_list, window: int) -> ComparisonR
     return ComparisonReport(window, gi, modal, (float(pay[0]), float(pay[1])),
                             bel_a, bel_b, idx, mismatch, float(tv),
                             mismatch == 0 and tv <= CONVERGENCE_TV)
+
+
+def compare_to_ez(traj: LearningTrajectory, ez_list, window: int) -> ComparisonReport:
+    """``compare_to_outcomes`` with ``best_index`` indexing composed states."""
+    return compare_to_outcomes(traj, [[z.outcomes[gi] for z in ez_list] for gi in
+                                      range(1 + int(traj.situations.max(initial=0)))], window)
 
 
 def _kernel_tv(traj_kernel_belief: np.ndarray, ez_belief: np.ndarray,

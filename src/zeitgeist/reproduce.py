@@ -4,7 +4,7 @@ Each check pins a worked environment to its independently derived
 numbers: closed forms for the duopoly, enumeration plus separation for
 the two-situation game, reversal for the investment game, stable-share
 and dominance analyses for the stopping games, and a scaled-down
-learning run cross-checked against the enumerated states.  The runner
+learning run cross-checked against the enumerated outcomes.  The runner
 returns a row per check with expected-vs-actual strings so a failure
 reads as a diff, and it never stops early: a broken fixture still
 produces the full table.
@@ -19,10 +19,10 @@ import numpy as np
 
 from . import catalog
 from .games import TOL, stackelberg, symmetric_nash
-from .learning import SimConfig, compare_to_ez, run_learning
+from .learning import SimConfig, compare_to_outcomes, run_learning
 from .models import check_identifiability, illusion_of_control_model, \
     minimal_correct_model
-from .solver import enumerate_ez
+from .solver import enumerate_situation_ez
 from .stability import affine_stable_shares, classify_stability, detect_reversal, \
     singleton_fragility_check
 
@@ -139,8 +139,8 @@ def _check_learning() -> CheckRow:
     cfg = SimConfig(n_agents=200, shares=(0.01, 0.99), horizon=1500,
                     seed=LEARNING_SEED, tau=0.99)
     traj = run_learning(env, ma, mb, cfg)
-    ez = enumerate_ez(env, ma, mb, cfg.shares)
-    rep = compare_to_ez(traj, ez, window=300)
+    per_situation = [enumerate_situation_ez(env, ma, mb, G, cfg.shares) for G in env.situations]
+    rep = compare_to_outcomes(traj, per_situation, window=300)
     got = (rep.modal_play, rep.converged)
     ok = rep.modal_play == (0, 0, 0, 1) and rep.converged
     return _row("learning", "simulation",

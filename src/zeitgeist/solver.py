@@ -12,12 +12,12 @@ four actions are subjectively optimal under those beliefs.
 profile tables, subjective payoffs and the tensor of single-parameter
 rationalizers, in one pass over both models' stacked parameters.  One
 feasibility pass weights the tables along a leading axis of shares, cuts
-every minimizer set at once, takes the first single-parameter
-rationalizer as a degenerate belief, and runs the max-margin mixture LP
-only for triples with none that the other group could complete and with
-no mix of one or two deviations that every minimizer prefers beyond the
-tie slack, once per problem for each triple and minimizer set; its play
-quadruples are ``quadruples``, and ``solve_many`` adds their beliefs."""
+every minimizer set at once, takes the first single-parameter rationalizer
+as a degenerate belief, and runs the max-margin mixture LP only for triples
+with none that the other group could complete and with no mix of one or two
+deviations that every minimizer prefers beyond the tie slack, once per LP
+store (a ``SharePair`` shares one across situations) for each triple and
+minimizer set; ``quadruples`` gives the play, ``solve_many`` adds beliefs."""
 
 from __future__ import annotations
 
@@ -159,14 +159,15 @@ class _GroupTables:
     (a_BB, a_BA, a_AB) for group B.  The arrays are the group's rows of the
     pass ``SituationProblem`` makes over both models' stacked parameters.
     ``lps`` keeps every ``_mixture_belief`` answer under its inputs' key
-    (x, y, z, member-index bytes), so a problem solves each LP once.
+    (x, y, z, member-index bytes); the inputs never depend on the situation,
+    so all situations of a ``SharePair`` share one store per group.
     """
 
-    def __init__(self, inf, diag, cross, v_own, v_cross, ok):
+    def __init__(self, inf, diag, cross, v_own, v_cross, ok, lps):
         self.inf, self.diag, self.cross = inf, diag, cross
         self.v_own, self.v_cross, self.ok = v_own, v_cross, ok
         self.n_params = len(diag)
-        self.lps: dict[tuple[int, int, int, bytes], tuple[np.ndarray, bool] | None] = {}
+        self.lps: dict[tuple[int, int, int, bytes], tuple[np.ndarray, bool] | None] = lps
 
     def objective(self, w_own: np.ndarray, w_cross: np.ndarray) -> np.ndarray:
         """Weighted objective [t, k, x, y, z] of every parameter and triple."""
@@ -232,10 +233,11 @@ class SituationProblem:
 
     Holds the share-independent tables of both groups (KL profile tables,
     subjective payoff stacks and the single-parameter rationalizer tensor
-    ``ok``) and finds the shares where its state list can change.
+    ``ok``) and finds the shares where its state list can change; ``lps``
+    holds both groups' belief-LP stores, fresh unless a ``SharePair`` passes its own.
     """
 
-    def __init__(self, env: StageEnv, model_a, model_b, G):
+    def __init__(self, env: StageEnv, model_a, model_b, G, lps=None):
         _require_compatible(env, model_a, "A")
         _require_compatible(env, model_b, "B")
         gi = env.situation_index(G)
@@ -264,8 +266,9 @@ class SituationProblem:
         gap_cross = v_cross - v_cross.max(axis=2, keepdims=True)   # [t, z, y]
         ok = ((gap_own[:, :, None, None] >= -tie[:, :, None, :])
               & (gap_cross.transpose(0, 2, 1)[:, None] >= -tie[:, :, None, :]))
-        self.groups = tuple(_GroupTables(*(a[rows] for a in (inf, diag, cross, v_own, v_cross, ok)))
-                            for rows in (slice(None, split), slice(split, None)))
+        self.groups = tuple(_GroupTables(*(a[rows] for a in (inf, diag, cross, v_own, v_cross, ok)),
+                                         store) for rows, store in
+                            zip((slice(None, split), slice(split, None)), lps or ({}, {})))
 
     def share_cuts(self) -> np.ndarray:
         """Group A's shares at both groups' ``crossings``; B's own share is 1 - p_A."""

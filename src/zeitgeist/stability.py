@@ -1,16 +1,16 @@
 """Evolutionary comparisons between two models of the same environment.
 
 A resident group carrying one model is invaded by a small entrant group
-carrying another.  A ``SharePair`` builds each situation's problem once and
-answers three questions from it.  Classification asks whether the
-resident's objective fitness beats the entrant's across every
-self-confirming state at every invasion size in a list; reversal asks
-whether conditional-fitness rankings at the two extreme shares flip; both
-read the extreme gaps from per-situation extremes.  Share cells split group
-A's share where the state list can change and find where the gap falls
-through zero.  The separation check asks whether a correct resident's
-symmetric-equilibrium payoffs can be strictly protected, by some weighting
-of situations, against every dogmatic single-kernel entrant.
+carrying another.  A ``SharePair`` builds each situation's problem once,
+with one belief-LP store per group, and answers three questions from it.
+Classification asks whether the resident's objective fitness beats the
+entrant's across every self-confirming state at every invasion size in a
+list; reversal asks whether conditional-fitness rankings at the two extreme
+shares flip; both read the extreme gaps from per-situation extremes.  Share
+cells split group A's share where the state list can change and find where
+the gap falls through zero.  The separation check asks whether a correct
+resident's symmetric-equilibrium payoffs can be strictly protected, by some
+weighting of situations, against every dogmatic single-kernel entrant.
 """
 
 from __future__ import annotations
@@ -171,7 +171,8 @@ class SharePair:
 
     @cached_property
     def problems(self) -> list[SituationProblem]:
-        return [SituationProblem(self.env, self.model_a, self.model_b, G)
+        lps = ({}, {})      # one belief-LP store per group, read by every situation
+        return [SituationProblem(self.env, self.model_a, self.model_b, G, lps)
                 for G in self.env.situations]
 
     def classify(self, q=None, eps_list=DEFAULT_EPS_LIST) -> StabilityVerdict:

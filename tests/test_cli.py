@@ -10,7 +10,7 @@ import yaml
 
 from conftest import coordination_env, mismatch_env
 from zeitgeist import catalog, cli, config, reproduce
-from zeitgeist.games import TOL, StageEnv
+from zeitgeist.games import TOL, MonitoringStructure, StageEnv
 from zeitgeist.models import illusion_of_control_model, minimal_correct_model
 from zeitgeist.solver import enumerate_situation_ez, match_payoffs, share_blend
 
@@ -240,9 +240,9 @@ def test_learn_seed_override(tmp_path):
     assert _read_manifest(out)["seed"] == 77
 
 
-def test_learn_composition_failure_writes_no_trajectory(tmp_path, capsys):
-    # six copies of one situation compose 8**6 states, too many: the
-    # command fails before it simulates or writes anything
+def test_learn_on_six_situations_compares_per_situation(tmp_path, capsys):
+    # six copies of one situation give 8 outcomes each and 8**6 states; the
+    # command never composes them: it ranks the window situation's outcomes
     base = coordination_env()
     env = StageEnv(base.strategies, base.consequences, [f"G{i}" for i in range(6)],
                    [base.kernels[0].table] * 6, base.utility)
@@ -253,9 +253,67 @@ def test_learn_composition_failure_writes_no_trajectory(tmp_path, capsys):
     out = tmp_path / "o"
     rc = cli.main(["learn", "--env", env_path, "--model-a", model_path,
                    "--model-b", model_path, "--sim", str(sim_path), "--out", str(out)])
+    assert rc == 0
+    assert "states found: 262144" in capsys.readouterr().out
+    doc = _read_yaml(out / "comparison.yaml")
+    assert doc["ez_count"] == 8 ** 6 and 0 <= doc["best_index"] < 8
+    assert "trajectory.txt" in _read_manifest(out)["outputs"]
+
+
+def test_learn_solver_error_writes_no_file(tmp_path, capsys):
+    # a certainty-form model under noisy monitoring is refused by the solver,
+    # which runs before the simulation, so nothing is simulated or written
+    base = coordination_env()
+    env = StageEnv(base.strategies, base.consequences, base.situations,
+                   [base.kernels[0].table], base.utility,
+                   monitoring=MonitoringStructure.noisy(base.strategies, 0.9))
+    env_path, model_path = _save_pair(env, tmp_path)
+    sim_path = tmp_path / "sim.yaml"
+    sim_path.write_text("kind: sim\nn_agents: 16\nshares: [0.5, 0.5]\n"
+                        "horizon: 40\nseed: 5\n")
+    out = tmp_path / "o"
+    rc = cli.main(["learn", "--env", env_path, "--model-a", model_path,
+                   "--model-b", model_path, "--sim", str(sim_path), "--out", str(out)])
     assert rc == 1
-    assert "too many combined states" in capsys.readouterr().err
-    assert not (out / "trajectory.txt").exists()
+    assert "strategic-certainty form" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _FullStdout:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def test_outputs_are_written_before_stdout(tmp_path, monkeypatch):
+    # a stdout that cannot be written still exits 1, but only after every
+    # output file and the manifest that lists them are on disk
+    env_path, model_path = _save_pair(coordination_env(), tmp_path)
+    sim_path = tmp_path / "sim.yaml"
+    sim_path.write_text("kind: sim\nn_agents: 16\nshares: [0.5, 0.5]\n"
+                        "horizon: 40\nseed: 5\n")
+    configs = ["--env", env_path, "--model-a", model_path, "--model-b", model_path]
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    for argv, outputs in (
+            (["solve-ez", *configs], ["ez.txt", "ez.yaml"]),
+            (["learn", *configs, "--sim", str(sim_path)],
+             ["comparison.txt", "comparison.yaml", "trajectory.txt"])):
+        out = tmp_path / argv[0]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert _read_manifest(out)["outputs"] == outputs
+        assert all((out / name).exists() for name in outputs)
+
+
+@pytest.mark.parametrize("flag", ["--q", "--eps-list"])
+def test_classify_refuses_an_empty_list(tmp_path, capsys, flag):
+    # an empty value is an input error, not a request for the default
+    env_path, model_path = _save_pair(coordination_env(), tmp_path)
+    rc = cli.main(["classify", "--env", env_path, "--model-a", model_path,
+                   "--model-b", model_path, flag, ""])
+    assert rc == 1
+    assert flag in capsys.readouterr().err
 
 
 def test_learn_zero_horizon_exits_two(tmp_path, capsys):

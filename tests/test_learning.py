@@ -8,10 +8,11 @@ from scipy.special import logsumexp as scipy_logsumexp
 from conftest import coordination_env
 from zeitgeist import catalog, learning
 from zeitgeist.games import StageEnv, as_weights
-from zeitgeist.learning import Policy, SimConfig, compare_to_ez, run_learning
+from zeitgeist.learning import (Policy, SimConfig, compare_to_ez, compare_to_outcomes,
+                                run_learning)
 from zeitgeist.models import (Model, Parameter, illusion_of_control_model,
                               minimal_correct_model, singleton_model)
-from zeitgeist.solver import enumerate_ez
+from zeitgeist.solver import enumerate_ez, enumerate_situation_ez
 
 
 def _small_config(**overrides):
@@ -191,6 +192,37 @@ def test_entrant_world_learning_reaches_discount_belief():
     assert report.modal_play[3] == 1
     idx = int(np.argmax(report.kernel_belief_b))
     assert model_b.kernel_labels[idx] == "slope=4"
+
+
+def test_compare_to_ez_is_compare_to_outcomes_on_states():
+    # the composed-state adapter and the per-situation core agree on every
+    # field; best_index picks the same outcome, a state index in one and an
+    # outcome index in the other.  The commitment game runs redrawn every
+    # 30 periods, so windows fall in either of its two situations.
+    runs = [(coordination_env(), 60, _small_config(horizon=300))]
+    two = catalog.build_two_situation_game()
+    runs += [(two, 30, _small_config(horizon=120, situation_period=30, seed=seed))
+             for seed in range(1, 7)]
+    seen = set()
+    for env, window, cfg in runs:
+        model = minimal_correct_model(env)
+        traj = run_learning(env, model, model, cfg)
+        states = enumerate_ez(env, model, model, cfg.shares)
+        per_situation = [enumerate_situation_ez(env, model, model, G, cfg.shares)
+                         for G in env.situations]
+        composed = compare_to_ez(traj, states, window)
+        core = compare_to_outcomes(traj, per_situation, window)
+        gi = core.situation
+        seen.add((env.n_situations, gi))
+        for name in ("window", "situation", "modal_play", "mean_payoff", "play_mismatch",
+                     "belief_tv", "converged"):
+            assert getattr(composed, name) == getattr(core, name), name
+        for name in ("kernel_belief_a", "kernel_belief_b"):
+            assert getattr(composed, name).tobytes() == getattr(core, name).tobytes()
+        chosen = (states[composed.best_index].outcomes[gi], per_situation[gi][core.best_index])
+        assert len({(o.quadruple, o.belief_a.tobytes(), o.belief_b.tobytes())
+                    for o in chosen}) == 1
+    assert seen == {(1, 0), (2, 0), (2, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -540,19 +540,19 @@ def test_quadruples_equal_the_solved_outcomes(duopoly_11, monkeypatch):
 
 def test_share_cells_solve_each_belief_lp_once(monkeypatch):
     # draw 27 of the reversal pool has 41 cells whose midpoints repeat
-    # member sets: one problem per situation evaluates the belief LP once
-    # for each distinct (situation, group, triple, member set) over all
-    # cells, so it makes at most one LP call each, and solving the midpoints
-    # again through the pair evaluates none.  Every midpoint's outcomes
-    # equal, beliefs byte for byte, those of a fresh problem, which starts
-    # with no LP answers.
+    # member sets, and its 3 situations repeat them too: the pair's one
+    # store per group evaluates the belief LP once for each distinct
+    # (group, triple, member set) over all cells and situations, so it makes
+    # at most one LP call each, and solving the midpoints again through the
+    # pair evaluates none.  Every midpoint's outcomes equal, beliefs byte
+    # for byte, those of a fresh problem, which starts with no LP answers.
     env, ma, mb = next(case[1:] for case in _reversal_pool() if case[0] == 27)
     pair = stability.SharePair(env, ma, mb)
     keys, evaluated, lp_calls = set(), [], []
     run_lp, belief, real = solver._GroupCut.run_lp, solver._mixture_belief, solver.linprog
 
     def recording(cut, wanted):
-        group = next((gi, g) for gi, problem in enumerate(pair.problems)
+        group = next(g for problem in pair.problems
                      for g, tables in enumerate(problem.groups) if tables is cut.tables)
         for k, x, y, z in np.argwhere(cut.needs_lp & wanted).tolist():
             keys.add((group, x, y, z, tuple(np.flatnonzero(cut.members[:, k, x, y, z]))))
