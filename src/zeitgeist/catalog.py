@@ -558,64 +558,42 @@ class CentipedeSpec:
         return self.g * (self.K - 2) > 2.0 * self.l
 
 
-@dataclass(frozen=True)
-class _Ladder:
-    """Alternating-move stopping game; player 1 moves at odd nodes."""
-
-    K: int
-    stops: np.ndarray            # (K + 1, 2): payoffs (P1, P2) if stopped at node k
-    z_end: tuple[float, float]   # payoffs if nobody stops
-
-
-def _centipede_ladder(spec: CentipedeSpec) -> _Ladder:
-    K, g, l = spec.K, spec.g, spec.l
-    stops = np.zeros((K + 1, 2))
-    for k in range(1, K + 1):
-        if k % 2 == 1:
-            stops[k] = (g * (k - 1) / 2.0, g * (k - 1) / 2.0)
-        else:
-            stops[k] = ((k - 2) * g / 2.0 - l, k * g / 2.0 + l)
-    return _Ladder(K, stops, (K * g / 2.0, K * g / 2.0))
-
-
-def _dollar_ladder(K: int) -> _Ladder:
-    stops = np.zeros((K + 1, 2))
-    for k in range(1, K + 1):
-        stops[k, 0 if k % 2 == 1 else 1] = float(k)
-    return _Ladder(K, stops, (float(K + 2), 0.0))
-
-
-def _profile(game: _Ladder, x: float) -> tuple[bool, float, np.ndarray]:
+def _profile(stops: np.ndarray, z_end) -> tuple[bool, float, np.ndarray]:
     """Check the maximal-continuation profile and play it out.
 
+    ``stops[k]`` is the (P1, P2) payoff pair if node k stops, row 0 unused,
+    and ``z_end`` the pair if nobody stops; player 1 moves at odd nodes.
     Each plan is its first stop node, indexed [group, opponent group,
     role], with K + 1 for never: group A stops at once against its own kind
     and late against the pooled reasoners; group B passes everywhere except
     node K.  One backward induction runs over all eight cases, under actual
-    play and under the conjectures side by side.  Actual play gives the
-    match payoffs.  The conjectures give the one-deviation margin
-    (prescribed action's value minus the alternative's) at every own node
-    the conjecture can reach.  Group A conjectures the opponent's actual
-    plan.  Group B pools opponent nodes by parity: rate x at the nodes of
-    an opponent whose plan stops anywhere, and 0 at the nodes of one that
-    never stops.
+    play (the match payoffs) and under the conjectures (the one-deviation
+    margin, prescribed action's value minus the alternative's, at every own
+    node the conjecture can reach).  Group A conjectures the opponent's
+    actual plan.  Group B pools opponent nodes by parity: rate x = 2/K at
+    the nodes of an opponent whose plan stops anywhere, 0 at those of one
+    that never stops.  It sees one stop after K/2 - 1 passes, so a rate x
+    has divergence -(K/2 - 1)*log(1 - x) - log(x) (Jehiel, JET 2005), and
+    the first-order condition (K/2 - 1)/(1 - x) = 1/x gives x = 2/K.
 
     Returns (verified, binding margin, m) with m[g, h] group g's expected
     payoff against group h, roles split evenly.
     """
-    K = game.K
+    K = len(stops) - 1
+    # from the whole contiguous table: abs over the transposed slice is slower
+    scale = float(np.max(np.abs(stops)))
     first = np.array([[[1, 2], [K - 1, K]], [[K + 1, K], [K + 1, K]]])[..., None]
     rival = first.transpose(1, 0, 2, 3)[:, :, ::-1]         # first[h, g, 1 - role]
     node = np.arange(1, K + 1)
     own = (node % 2 == 1) == (np.arange(2) == 0)[:, None]    # [role, node]
     group_a = np.arange(2)[:, None, None, None] == 0
     played = (node >= np.where(own, first, rival)).astype(float)
-    conjectured = np.where(own | group_a, played, np.where(rival <= K, x, 0.0))
+    conjectured = np.where(own | group_a, played, np.where(rival <= K, 2.0 / K, 0.0))
     rate = np.stack([played, conjectured])                    # [mode, g, h, role, node]
 
-    stops = game.stops[1:].T                                  # [role, node]
+    stops = stops[1:].T                                       # [role, node]
     value = np.empty(rate.shape[:-1] + (K + 1,))              # value[..., i] at node i + 1
-    value[..., K] = game.z_end
+    value[..., K] = z_end
     for i in range(K - 1, -1, -1):
         value[..., i] = rate[..., i] * stops[:, i] + (1.0 - rate[..., i]) * value[..., i + 1]
 
@@ -624,41 +602,23 @@ def _profile(game: _Ladder, x: float) -> tuple[bool, float, np.ndarray]:
     # a conjectured sure stop cuts off every node after it
     cut = np.logical_or.accumulate(~own & (conjectured >= 1.0), axis=-1)
     checked = own & ~cut
-    scale = float(np.max(np.abs(game.stops)))
-    tie = np.array([slack(max(scale, abs(z))) for z in game.z_end])[:, None]
+    tie = np.array([slack(max(scale, abs(z))) for z in z_end])[:, None]
     verified = bool(np.all((margin >= -tie) | ~checked))
     binding = float(np.min(margin[checked], initial=np.inf))
     pay = value[0, ..., 0]                                    # [g, h, role]
     return verified, binding, 0.5 * (pay[..., 0] + pay[..., 1])
 
 
-def _pooled_rate(K: int) -> float:
-    """Stop rate the pooled reasoners fit to their data.
-
-    They see one stop after K/2 - 1 passes, so a constant per-node stop
-    rate x has divergence -(K/2 - 1)*log(1 - x) - log(x) (Jehiel, JET 2005).
-    Its first-order condition (K/2 - 1)/(1 - x) = 1/x gives x = 2/K.
-    """
-    return 2.0 / K
-
-
 @dataclass(frozen=True)
 class StoppingReport:
-    """Maximal-continuation profile of a stopping ladder and its match payoffs."""
+    """Maximal-continuation profile of a stopping ladder and its match
+    payoffs; ``line_payoffs`` is ``match_payoffs`` where the profile
+    applies, else None: what ``affine_stable_shares`` takes."""
 
     maximal_continuation_verified: bool
     binding_margin: float
     match_payoffs: np.ndarray          # m[g, h]: group g against group h
-
-    @property
-    def applies(self) -> bool:
-        return self.maximal_continuation_verified
-
-    @property
-    def line_payoffs(self) -> np.ndarray | None:
-        """``match_payoffs`` where the profile applies, else None: what
-        ``affine_stable_shares`` takes."""
-        return self.match_payoffs if self.applies else None
+    line_payoffs: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -668,39 +628,24 @@ class CentipedeReport(StoppingReport):
     analogy_minimizer_x: float
     p_star_b: float | None
 
-    @property
-    def applies(self) -> bool:
-        return self.condition_holds and self.maximal_continuation_verified
-
 
 def centipede_analysis(spec: CentipedeSpec) -> CentipedeReport:
-    """Verify the maximal-continuation profile and report its fitness line.
-
-    One backward induction (``_profile``) checks the profile and plays it
-    out.  Under each group's conjectured stop rates, each plan must be
-    one-deviation optimal at every own node the conjecture can reach.
-    Group A conjectures actual play.  Group B pools opponent nodes by
-    parity at the fitted rate 2/K: that rate at the nodes of an opponent
-    whose plan stops anywhere, and 0 at those of one that never stops.
-    The fitness gap is affine in group A's share; when the pie grows fast
-    enough the crossing share is interior, otherwise the stability claims
-    do not apply and p_star_b is None.
+    """Verify the maximal-continuation profile (``_profile``) and report its
+    fitness line.  The fitness gap is affine in group A's share; when the
+    pie grows fast enough the crossing share is interior, otherwise the
+    stability claims do not apply and p_star_b and line_payoffs are None.
     """
-    game = _centipede_ladder(spec)
-    x = _pooled_rate(spec.K)
-    verified, margin, m = _profile(game, x)
-    p_star = None
-    if spec.sustainable and verified:
-        p_star = 1.0 - spec.l / (spec.g * (spec.K - 2))
+    K, g, l = spec.K, spec.g, spec.l
+    # an odd-node stop splits the pie; an even-node stopper takes l from P1
+    stops = np.array([(0.0, 0.0)] + [(g * (k - 1) / 2.0,) * 2 if k % 2 else
+                                     ((k - 2) * g / 2.0 - l, k * g / 2.0 + l)
+                                     for k in range(1, K + 1)])
+    verified, margin, m = _profile(stops, (K * g / 2.0, K * g / 2.0))
+    applies = spec.sustainable and verified
     return CentipedeReport(
-        maximal_continuation_verified=verified,
-        binding_margin=margin,
-        match_payoffs=m,
-        spec=spec,
-        condition_holds=spec.sustainable,
-        analogy_minimizer_x=x,
-        p_star_b=p_star,
-    )
+        maximal_continuation_verified=verified, binding_margin=margin, match_payoffs=m,
+        line_payoffs=m if applies else None, spec=spec, condition_holds=spec.sustainable,
+        analogy_minimizer_x=2.0 / K, p_star_b=1.0 - l / (g * (K - 2)) if applies else None)
 
 
 @dataclass(frozen=True)
@@ -715,13 +660,18 @@ def dollar_analysis(K: int) -> DollarReport:
     Passing is still sustained by pooled conjectures, but every payoff the
     pooled reasoners forgo accrues to the opponent, so the correct group's
     fitness is strictly higher at every share.  Requires K even and at
-    least 6: the binding pass margin at the last pooled node is (K-4)/K.
+    least 6, so that the pooled first mover's last pass margin, (K-4)/K,
+    is positive.  The binding margin is 0.0 at every K: passing at node
+    K-2 is worth (1 - 2/K)*K = K-2 to the pooled second mover against
+    group A, exactly its stop payoff, and the check accepts that tie
+    within the slack.
     """
     if K < 6 or K % 2 != 0:
         raise ValueError("K must be an even integer >= 6")
-    game = _dollar_ladder(K)
-    verified, margin, m = _profile(game, _pooled_rate(K))
+    stops = np.array([(float(k), 0.0) if k % 2 else (0.0, float(k)) for k in range(K + 1)])
+    verified, margin, m = _profile(stops, (float(K + 2), 0.0))
     # both fitness lines are affine in the share, so group A is ahead at
     # every share exactly when it is ahead against both groups by more than TOL
     return DollarReport(maximal_continuation_verified=verified, binding_margin=margin,
-                        match_payoffs=m, K=K, dominance_flag=bool(np.all(m[0] > m[1] + TOL)))
+                        match_payoffs=m, line_payoffs=m if verified else None, K=K,
+                        dominance_flag=bool(np.all(m[0] > m[1] + TOL)))

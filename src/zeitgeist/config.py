@@ -14,6 +14,8 @@ save/load cycle reproduces every table cell bit for bit.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import yaml
 
@@ -25,6 +27,18 @@ from .models import Model, Parameter, _certainty_form_model
 
 class ConfigError(ValueError):
     """Malformed configuration; the message carries file/line context."""
+
+
+@contextlib.contextmanager
+def _located(where: str):
+    """Re-raise a ``ValueError`` from building an object as a
+    ``ConfigError`` that names ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _builder_registry():
@@ -58,7 +72,8 @@ def _run_builder(doc: dict, where: str):
         raise ConfigError(f"{where}: unknown builder {name!r}; "
                           f"expected one of {sorted(BUILDERS)}")
     role = doc.get("role", "env")
-    parts = BUILDERS[name](doc.get("args") or {})
+    with _located(where):
+        parts = BUILDERS[name](doc.get("args") or {})
     if role not in parts:
         raise ConfigError(f"{where}: builder {name!r} has no component "
                           f"{role!r}; it provides {sorted(parts)}")
@@ -138,18 +153,18 @@ def env_from_dict(doc: dict, where: str = "<env>") -> StageEnv:
         return _run_builder(doc, where)
     strategies = _require(doc, "strategies", where)
     mon_doc = doc.get("monitoring", "perfect")
-    if mon_doc == "perfect":
-        monitoring = None
-    elif isinstance(mon_doc, dict) and "tau" in mon_doc:
-        monitoring = MonitoringStructure.noisy(strategies, float(mon_doc["tau"]))
-    elif isinstance(mon_doc, dict) and "rows" in mon_doc:
-        monitoring = MonitoringStructure(
-            tuple(str(s) for s in mon_doc.get("signals", strategies)),
-            np.asarray(mon_doc["rows"], dtype=float))
-    else:
-        raise ConfigError(f"{where}: monitoring must be 'perfect', "
-                          "{tau: x}, or {signals, rows}")
-    try:
+    with _located(where):
+        if mon_doc == "perfect":
+            monitoring = None
+        elif isinstance(mon_doc, dict) and "tau" in mon_doc:
+            monitoring = MonitoringStructure.noisy(strategies, float(mon_doc["tau"]))
+        elif isinstance(mon_doc, dict) and "rows" in mon_doc:
+            monitoring = MonitoringStructure(
+                tuple(str(s) for s in mon_doc.get("signals", strategies)),
+                np.asarray(mon_doc["rows"], dtype=float))
+        else:
+            raise ConfigError(f"{where}: monitoring must be 'perfect', "
+                              "{tau: x}, or {signals, rows}")
         return StageEnv(
             strategies=strategies,
             consequences=_require(doc, "consequences", where),
@@ -160,10 +175,6 @@ def env_from_dict(doc: dict, where: str = "<env>") -> StageEnv:
             monitoring=monitoring,
             meta=doc.get("meta"),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_env(path) -> StageEnv:
@@ -211,32 +222,33 @@ def model_from_dict(doc: dict, where: str = "<model>") -> Model:
         raise ConfigError(f"{where}: kind is {doc.get('kind')!r}, expected 'model'")
     if "builder" in doc:
         return _run_builder(doc, where)
-    label = doc.get("label", "model")
-    kernels = [DenseKernel(np.asarray(k, dtype=float))
-               for k in _require(doc, "kernels", where)]
-    kernel_labels = [str(s) for s in
-                     doc.get("kernel_labels", range(len(kernels)))]
-    if len(kernel_labels) != len(kernels):
-        raise ConfigError(f"{where}: {len(kernels)} kernels but "
-                          f"{len(kernel_labels)} kernel_labels")
-    meta = doc.get("meta") or {}
-    if doc.get("form") == "certainty":
-        return _certainty_form_model(label, kernels, kernel_labels, meta)
-    params = []
-    for pi, pd in enumerate(_require(doc, "params", where)):
-        ki = _integer(_require(pd, "kernel", f"{where}: params[{pi}]"),
-                      f"params[{pi}].kernel", where)
-        if not 0 <= ki < len(kernels):
-            raise ConfigError(f"{where}: params[{pi}] kernel index {ki} "
-                              f"out of range for {len(kernels)} kernels")
-        conj = _require(pd, "conj_a", f"{where}: params[{pi}]")
-        conj = tuple(_integer(c, f"params[{pi}].conj_a", where) for c in conj)
-        if len(conj) != 2:
-            raise ConfigError(f"{where}: params[{pi}] conj_a needs two entries")
-        params.append(Parameter(conj, kernels[ki], ki,
-                                label=str(pd.get("label", ""))))
-    return Model(label, params, strategic_certainty_form=False,
-                 kernels=kernels, kernel_labels=kernel_labels, meta=meta)
+    with _located(where):
+        label = doc.get("label", "model")
+        kernels = [DenseKernel(np.asarray(k, dtype=float))
+                   for k in _require(doc, "kernels", where)]
+        kernel_labels = [str(s) for s in
+                         doc.get("kernel_labels", range(len(kernels)))]
+        if len(kernel_labels) != len(kernels):
+            raise ConfigError(f"{where}: {len(kernels)} kernels but "
+                              f"{len(kernel_labels)} kernel_labels")
+        meta = doc.get("meta") or {}
+        if doc.get("form") == "certainty":
+            return _certainty_form_model(label, kernels, kernel_labels, meta)
+        params = []
+        for pi, pd in enumerate(_require(doc, "params", where)):
+            ki = _integer(_require(pd, "kernel", f"{where}: params[{pi}]"),
+                          f"params[{pi}].kernel", where)
+            if not 0 <= ki < len(kernels):
+                raise ConfigError(f"{where}: params[{pi}] kernel index {ki} "
+                                  f"out of range for {len(kernels)} kernels")
+            conj = _require(pd, "conj_a", f"{where}: params[{pi}]")
+            conj = tuple(_integer(c, f"params[{pi}].conj_a", where) for c in conj)
+            if len(conj) != 2:
+                raise ConfigError(f"{where}: params[{pi}] conj_a needs two entries")
+            params.append(Parameter(conj, kernels[ki], ki,
+                                    label=str(pd.get("label", ""))))
+        return Model(label, params, strategic_certainty_form=False,
+                     kernels=kernels, kernel_labels=kernel_labels, meta=meta)
 
 
 def load_model(path) -> Model:
@@ -277,16 +289,8 @@ def sim_from_dict(doc: dict, where: str = "<sim>") -> SimConfig:
     if doc.get("kind", "sim") != "sim":
         raise ConfigError(f"{where}: kind is {doc.get('kind')!r}, expected 'sim'")
     pol = doc.get("policy") or {}
-    try:
-        return _build_sim(doc, pol, where)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _build_sim(doc: dict, pol: dict, where: str) -> SimConfig:
-    return SimConfig(
+    with _located(where):
+        return SimConfig(
             n_agents=_integer(_require(doc, "n_agents", where), "n_agents", where),
             shares=tuple(float(v) for v in _require(doc, "shares", where)),
             horizon=_integer(_require(doc, "horizon", where), "horizon", where),

@@ -124,9 +124,9 @@ class MonitoringStructure:
         rows = tau * np.eye(n) + (1.0 - tau) / n
         return MonitoringStructure(tuple(strategies), rows)
 
-    def is_perfect(self, tol: float = 0.0) -> bool:
-        n = self.rows.shape[0]
-        return self.rows.shape[1] == n and bool(np.max(np.abs(self.rows - np.eye(n))) <= tol)
+    def is_perfect(self) -> bool:
+        """Exactly the identity: the signal is the opponent's strategy."""
+        return np.array_equal(self.rows, np.eye(len(self.rows)))
 
 
 def as_weights(q, n_situations: int) -> np.ndarray:
@@ -162,9 +162,11 @@ class StageEnv:
         if len(kernels) != len(self.situations):
             raise ValueError("need exactly one kernel per situation")
         self.kernels = tuple(k if hasattr(k, "row") else DenseKernel(k) for k in kernels)
-        for k in self.kernels:
-            if k.n_strategies != len(self.strategies):
-                raise ValueError("kernel strategy dimension mismatch")
+        shape = (len(self.strategies), len(self.consequences))
+        for G, k in zip(self.situations, self.kernels):
+            if (k.n_strategies, k.n_consequences) != shape:
+                raise ValueError(f"situation {G} has a kernel of {k.n_strategies} strategies "
+                                 f"and {k.n_consequences} consequences; the labels give {shape}")
 
         u = np.asarray(utility, dtype=float)
         if u.ndim == 1:

@@ -187,17 +187,17 @@ class LearningTrajectory:
 
 
 def _expanded_prior(model: Model, expanded: Model, prior) -> np.ndarray:
-    """Full-support prior over the expanded grid, spreading a compact-form
-    prior uniformly across conjecture pairs when needed."""
+    """Full-support prior over the expanded grid; a per-kernel prior is
+    spread evenly over the parameters of each kernel."""
     p_n = expanded.n_params
     if prior is None:
         return np.full(p_n, 1.0 / p_n)
     prior = np.asarray(prior, dtype=float)
     if len(prior) == p_n:
         out = prior.copy()
-    elif len(prior) == len(expanded.kernels) and p_n % len(expanded.kernels) == 0:
-        reps = p_n // len(expanded.kernels)
-        out = np.tile(prior / reps, reps)
+    elif len(prior) == len(expanded.kernels):
+        k = np.array([p.kernel_index for p in expanded.params])
+        out = prior[k] / np.bincount(k)[k]
     else:
         raise ValueError(
             f"prior for model {model.label!r} has length {len(prior)}; expected "
@@ -244,7 +244,8 @@ def run_learning(env: StageEnv, model_a: Model, model_b: Model,
     the fixed per-period draw order makes runs bit-reproducible from the
     seed.  On a situation redraw, posteriors and burn-in counters restart.
     """
-    for model in (model_a, model_b):
+    for who, model in zip("AB", (model_a, model_b)):
+        model.require_fit(env, who)
         free = [i for i, p in enumerate(model.params) if None in p.conj_a]
         if free and not model.strategic_certainty_form:
             raise ValueError(f"model {model.label!r} parameter {free[0]} has a free (None) "

@@ -54,6 +54,16 @@ class Model:
     def __post_init__(self):
         if not self.params:
             raise ValueError("a model needs at least one parameter")
+        if len({(k.n_strategies, k.n_consequences) for k in self.kernels}) != 1:
+            raise ValueError(f"model {self.label!r} needs kernels of one shape")
+
+    def require_fit(self, env: StageEnv, who: str) -> None:
+        """Raise unless this model's kernels have the environment's shape;
+        ``__post_init__`` gave them one shape, so one kernel is read."""
+        k, shape = self.kernels[0], (env.n_strategies, len(env.consequences))
+        if (k.n_strategies, k.n_consequences) != shape:
+            raise ValueError(f"model {who} has a kernel of {k.n_strategies} strategies and "
+                             f"{k.n_consequences} consequences; the environment has {shape}")
 
     @property
     def n_params(self) -> int:

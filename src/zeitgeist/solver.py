@@ -62,7 +62,8 @@ def max_margin(d: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _require_compatible(env: StageEnv, model, who: str) -> None:
-    if model.strategic_certainty_form and not env.monitoring.is_perfect(1e-12):
+    model.require_fit(env, who)
+    if model.strategic_certainty_form and not env.monitoring.is_perfect():
         raise ValueError(
             f"model {who} is in strategic-certainty form, which is only valid "
             "under perfect monitoring; expand it with Model.expand_product first")
@@ -138,10 +139,7 @@ def _mixture_belief(v_own: np.ndarray, v_cross: np.ndarray, a_own: int,
     # would be vulnerable to LP tolerance noise downstream
     found = max_margin(d)
     w = np.where(found[0] <= TOL, 0.0, found[0])
-    total = w.sum()
-    if total <= 0.0:
-        return None
-    w /= total
+    w /= w.sum()
     # same convention the verifier applies: slack scales with the
     # belief-blended payoffs, not the raw per-parameter stack
     s = tie_tolerance(np.concatenate([w @ v_own, w @ v_cross]))

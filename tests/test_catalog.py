@@ -358,6 +358,23 @@ def test_verdicts_match_brute_force_over_threshold_plans():
         verdicts.append(want)
     # the lattice holds unverified specs, so both verdicts are exercised
     assert 0 < sum(verdicts) < len(verdicts)
+    # centipede tables with every payoff perturbed, read by _profile directly;
+    # about half of them verify
+    rng = np.random.default_rng(20261022)
+    verdicts = []
+    for _ in range(300):
+        K = int(rng.choice([4, 6, 8, 10]))
+        g, l = rng.uniform(0.1, 2.0), rng.uniform(0.2, 4.0)
+        stops = np.zeros((K + 1, 2))
+        for k in range(1, K + 1):
+            stops[k] = ((k - 1) * g / 2, (k - 1) * g / 2) if k % 2 else \
+                ((k - 2) * g / 2 - l, k * g / 2 + l)
+        stops[1:] += rng.normal(scale=0.1 * g, size=(K, 2))
+        z_end = tuple(K * g / 2 + rng.normal(scale=0.1 * g, size=2))
+        want = _threshold_plans_verified(K, dict(enumerate(map(tuple, stops))), z_end)
+        assert catalog._profile(stops, z_end)[0] is want, (K, stops, z_end)
+        verdicts.append(want)
+    assert 0.3 * len(verdicts) < sum(verdicts) < 0.7 * len(verdicts)
 
 
 def test_grid_kernel_payoff_matrix_follows_a_new_utility_array():

@@ -578,3 +578,21 @@ def test_learn_rejects_window_spanning_a_redraw_before_running(tmp_path, capsys)
     assert rc == 1
     assert "--window must lie in [1, 10]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_misfit_model_is_refused_by_every_solving_command(tmp_path, capsys):
+    env_path, model_path = _save_pair(mismatch_env(), tmp_path)
+    _, misfit_path = _save_pair(catalog.build_two_situation_game(), tmp_path, stem="misfit")
+    configs = ["--env", env_path, "--model-a", model_path, "--model-b", misfit_path]
+    want = ("model B has a kernel of 3 strategies and 2 consequences; "
+            "the environment has (2, 2)")
+    runs = [["solve-ez", *configs], ["classify", *configs]]
+    for horizon in (40, 0):
+        sim_path = tmp_path / f"sim{horizon}.yaml"
+        sim_path.write_text(f"kind: sim\nn_agents: 16\nshares: [0.5, 0.5]\n"
+                            f"horizon: {horizon}\nseed: 5\n")
+        runs.append(["learn", *configs, "--sim", str(sim_path)])
+    for argv in runs:
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 1, argv
+        assert want in capsys.readouterr().err, argv
+        assert not (tmp_path / "o").exists()

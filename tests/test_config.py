@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from conftest import coordination_env, random_env, random_model
-from zeitgeist import catalog, config
+from zeitgeist import catalog, cli, config
 from zeitgeist.games import MonitoringStructure, StageEnv
 from zeitgeist.learning import Policy, SimConfig
+from zeitgeist.models import minimal_correct_model
 
 
 def test_dense_env_round_trip_is_bit_exact(tmp_path):
@@ -324,3 +328,33 @@ def test_errors_carry_a_single_location_prefix(tmp_path):
     msg = str(err.value)
     assert msg.count(str(path)) == 1
     assert "tau" in msg
+
+
+def test_env_kernel_that_misfits_its_labels_is_a_config_error(tmp_path):
+    doc = config.env_to_dict(coordination_env())
+    doc["consequences"], doc["utility"] = ["c0", "c1"], [2.0, 3.0]
+    path = tmp_path / "env.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(config.ConfigError, match=f"{re.escape(str(path))}: situation G "
+                                                 "has a kernel of 2 strategies and 3"):
+        config.load_env(path)
+
+
+def test_model_config_errors_name_their_file(tmp_path, capsys):
+    env = coordination_env()
+    doc = config.model_to_dict(minimal_correct_model(env))
+    doc["kernels"][0][0][0] = [0.5, 0.6, 0.0]
+    path = tmp_path / "model.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(config.ConfigError, match=f"{re.escape(str(path))}: kernel rows"):
+        config.load_model(path)
+    env_path = tmp_path / "env.yaml"
+    config.save_env(env, env_path)
+    assert cli.main(["solve-ez", "--env", str(env_path), "--model-a", str(path),
+                     "--model-b", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"{path}: kernel rows" in capsys.readouterr().err
+    # a builder's own check names the file too
+    path.write_text("kind: model\nbuilder: investment\nrole: model_b\n"
+                    "args: {b: -1.0, c: 5.5, m: 12.0}\n")
+    with pytest.raises(config.ConfigError, match=f"{re.escape(str(path))}: price slope"):
+        config.load_model(path)

@@ -150,6 +150,14 @@ class TestStageEnv:
         with pytest.raises(ValueError):
             StageEnv(["a", "b"], ["c"], ["G1", "G2"], [t], np.array([1.0]))
 
+    def test_kernel_shape_must_match_labels(self):
+        # a kernel of 3 consequences under 2 labels once loaded and failed
+        # later inside numpy
+        table = coordination_env().kernels[0].table
+        with pytest.raises(ValueError, match=r"situation G has a kernel of 2 strategies "
+                                             r"and 3 consequences; the labels give \(2, 2\)"):
+            StageEnv(["s0", "s1"], ["c0", "c1"], ["G"], [table], np.array([1.0, 0.0]))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_utility_rejected(self, bad):
         # a NaN utility would empty every best-reply mask without an error

@@ -498,6 +498,7 @@ class _RowsOnlyKernel:
     def __init__(self, dense):
         self._dense = dense
         self.n_strategies = dense.n_strategies
+        self.n_consequences = dense.n_consequences
 
     def row(self, i, j):
         return self._dense.row(i, j)
@@ -553,3 +554,54 @@ def test_explicit_model_with_free_conjecture_is_rejected():
                  kernels=[kernel], kernel_labels=["k0"])
     with pytest.raises(ValueError, match=r"model 'half_free' parameter 1 .*free"):
         run_learning(env, correct, free, _small_config())
+
+
+def test_misfit_model_is_refused_before_learning():
+    env = coordination_env()
+    misfit = minimal_correct_model(catalog.build_two_situation_game())
+    want = (r"model A has a kernel of 3 strategies and 2 consequences; "
+            r"the environment has \(2, 3\)")
+    for horizon in (40, 0):
+        with pytest.raises(ValueError, match=want):
+            run_learning(env, misfit, minimal_correct_model(env),
+                         _small_config(horizon=horizon))
+
+
+def test_per_kernel_prior_follows_kernel_index():
+    # parameters grouped by kernel (k0, k0, k1, k1), not cycling through
+    # kernels as expand_product orders them
+    env = coordination_env()
+    k = env.kernels[0]
+    params = [Parameter((c, c), k, i, f"k{i}|{c}") for i in range(2) for c in range(2)]
+    model = Model("grouped", params, strategic_certainty_form=False,
+                  kernels=[k, k], kernel_labels=["k0", "k1"])
+    traj = run_learning(env, model, model, _small_config(horizon=1, prior_a=[0.9, 0.1]))
+    assert model.kernel_marginal(traj.nu_a[0]) == pytest.approx([0.9, 0.1], abs=1e-12)
+    assert traj.nu_b[0] == pytest.approx(np.full(4, 0.25), abs=1e-12)
+
+
+def test_full_length_prior_is_the_first_belief():
+    env = coordination_env()
+    model = minimal_correct_model(env)
+    prior = np.array([0.1, 0.2, 0.3, 0.4])
+    traj = run_learning(env, model, model, _small_config(horizon=1, prior_b=prior))
+    assert traj.nu_b[0] == pytest.approx(prior, abs=1e-12)
+
+
+def test_expanded_models_compare_like_their_certainty_form():
+    # outcomes solved on expand_product models carry beliefs on the expanded
+    # grid, which the comparison collapses onto kernels
+    env, model_a, model_b, _ = catalog.build_investment_game(
+        catalog.InvestmentSpec(1.0, 5.5, 12.0))
+    cfg = SimConfig(n_agents=200, shares=(0.01, 0.99), horizon=1500, seed=20240901)
+    reports = []
+    for a, b in ((model_a, model_b), (model_a.expand_product(env), model_b.expand_product(env))):
+        per_situation = [enumerate_situation_ez(env, a, b, G, cfg.shares)
+                         for G in env.situations]
+        assert len(per_situation[0][0].belief_b) == b.n_params
+        reports.append(compare_to_outcomes(run_learning(env, a, b, cfg), per_situation, 300))
+    compact, expanded = reports
+    assert model_b.expand_product(env).n_params == 4 * model_b.n_params
+    assert compact.converged and compact.modal_play == (0, 0, 0, 1)
+    for name in ("modal_play", "converged", "best_index", "belief_tv"):
+        assert getattr(expanded, name) == getattr(compact, name), name

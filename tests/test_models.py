@@ -21,6 +21,14 @@ def test_model_requires_parameters():
         Model("empty", [], False, [], [])
 
 
+def test_model_kernels_need_one_shape():
+    two = coordination_env().kernels[0]
+    three = catalog.build_two_situation_game().kernels[0]
+    params = [Parameter((None, None), k, i) for i, k in enumerate((two, three))]
+    with pytest.raises(ValueError, match="'mixed' needs kernels of one shape"):
+        Model("mixed", params, True, [two, three], ["two", "three"])
+
+
 def test_expand_product_order_and_labels():
     env = coordination_env()
     model = singleton_model(env, env.kernels[0], label="truth")

@@ -516,3 +516,32 @@ def test_two_deviation_mix_beyond_the_slack_skips_the_lp(monkeypatch):
 
     monkeypatch.setattr(solver, "linprog", forbidden)
     assert solver._mixture_belief(v_own, v_cross, 0, 0) is None
+
+
+def test_misfit_model_is_refused_naming_group_and_shapes():
+    env = mismatch_env()
+    fit = minimal_correct_model(env)
+    misfit = minimal_correct_model(catalog.build_two_situation_game())
+    want = (r"model B has a kernel of 3 strategies and 2 consequences; "
+            r"the environment has \(2, 2\)")
+    with pytest.raises(ValueError, match=want):
+        SituationProblem(env, fit, misfit, "G")
+    outcome = SituationOutcome("G", (0, 1, 1, 0), np.ones(1), np.ones(2), (0,), (0,),
+                               False, False, False, False)
+    with pytest.raises(ValueError, match=want):
+        verify_ez(Zeitgeist((0.5, 0.5), (outcome,)), env, fit, misfit)
+
+
+def test_near_identity_monitoring_refuses_the_certainty_form():
+    # perfect monitoring means the exact identity; rows off by 1e-13 are
+    # noisy monitoring, under which the certainty form is not valid
+    env = coordination_env()
+    rows = np.eye(2)
+    rows[0] = [1.0 - 1e-13, 1e-13]
+    near = StageEnv(env.strategies, env.consequences, env.situations,
+                    [env.kernels[0].table], env.utility,
+                    monitoring=MonitoringStructure(env.strategies, rows))
+    assert not near.monitoring.is_perfect()
+    model = minimal_correct_model(near)
+    with pytest.raises(ValueError, match="strategic-certainty form"):
+        SituationProblem(near, model, model, "G")
